@@ -136,10 +136,10 @@ func main() {
 	// so a saturating node shows up as a level shift the z-score flags on
 	// its first sample, not a ramp the EWMA baseline absorbs.
 	coord, err := river.NewCoordinator(river.Config{
-		Spec: river.PipelineSpec{
+		Pipelines: []river.PipelineSpec{{
 			Segments: []river.SegmentSpec{{Name: "relay", Type: "relay", Replicas: 3}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		MinNodes:          4,

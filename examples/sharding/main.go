@@ -85,10 +85,10 @@ func main() {
 	// on a 0.10..0.50 saturation band. Five nodes so K=4 legs still land
 	// on distinct hosts (hard spread).
 	coord, err := river.NewCoordinator(river.Config{
-		Spec: river.PipelineSpec{
+		Pipelines: []river.PipelineSpec{{
 			Segments: []river.SegmentSpec{{Name: "work", Type: "work", Shards: 2}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		MinNodes:          5,

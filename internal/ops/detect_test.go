@@ -82,6 +82,52 @@ func TestChangeDetectAlertsOnLevelShift(t *testing.T) {
 
 // TestChangeDetectQuietStreamStaysQuiet checks a stationary stream never
 // alarms, and non-data records pass through untouched.
+// TestChangeDetectAlertScopeAfterRecycle pins the ownership contract:
+// Emit hands the triggering record downstream, and a pooled StreamOut
+// recycles it on return, so the alert must carry the scope captured
+// before the handoff, not whatever the recycled record holds after it.
+func TestChangeDetectAlertScopeAfterRecycle(t *testing.T) {
+	o, err := NewChangeDetect(ChangeDetectConfig{Warmup: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type seen struct {
+		subtype, scope uint16
+		scopeType      record.ScopeType
+	}
+	var out []seen
+	emit := pipeline.EmitterFunc(func(r *record.Record) error {
+		out = append(out, seen{r.Subtype, r.Scope, r.ScopeType})
+		record.Release(r) // the downstream owner recycles at once
+		return nil
+	})
+	for i := 0; i < 80; i++ {
+		amp := 1.0
+		if i >= 40 {
+			amp = 4.0
+		}
+		r := audioRecord(amp, 64)
+		r.Scope = uint16(1 + i)
+		r.ScopeType = record.ScopeClip
+		if err := o.Process(r, emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o.Alerts() == 0 {
+		t.Fatal("no alerts after a 4x sustained RMS shift")
+	}
+	for i, s := range out {
+		if s.subtype != record.SubtypeAnomaly {
+			continue
+		}
+		trigger := out[i-1]
+		if s.scope != trigger.scope || s.scopeType != trigger.scopeType {
+			t.Fatalf("alert %d carries scope %d/%v, want its trigger's %d/%v",
+				i, s.scope, s.scopeType, trigger.scope, trigger.scopeType)
+		}
+	}
+}
+
 func TestChangeDetectQuietStreamStaysQuiet(t *testing.T) {
 	o, err := NewChangeDetect(ChangeDetectConfig{Warmup: 16, MinSigma: 0.01})
 	if err != nil {

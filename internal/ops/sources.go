@@ -205,11 +205,14 @@ func (s *DataFeed) Run(out pipeline.Emitter) error {
 // Readout persists a record stream to a writer for later analysis — the
 // paper keeps a copy of the raw data before further processing.
 type Readout struct {
-	w *record.Writer
+	w *record.BatchWriter
 }
 
-// NewReadout returns a sink writing the wire encoding of every record.
-func NewReadout(w io.Writer) *Readout { return &Readout{w: record.NewWriter(w)} }
+// NewReadout returns a sink writing the wire encoding of every record,
+// one frame per record so the writer holds nothing back.
+func NewReadout(w io.Writer) *Readout {
+	return &Readout{w: record.NewBatchWriter(w, record.PerRecordConfig())}
+}
 
 // Name implements pipeline.Sink.
 func (s *Readout) Name() string { return "readout" }

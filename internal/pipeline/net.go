@@ -135,7 +135,10 @@ func (s *StreamOut) Name() string {
 	return "streamout(" + s.addr + ")"
 }
 
-// RecordsOut returns the number of records flushed to the network.
+// RecordsOut returns the number of records flushed to the network. A
+// record is counted once it is written: after the write carrying its batch
+// returns, so a fast receiver may decode a record before it is counted
+// here, never the other way round.
 func (s *StreamOut) RecordsOut() uint64 { return s.bw.Count() }
 
 // BatchesOut returns the number of batch writes issued.

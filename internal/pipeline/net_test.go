@@ -110,7 +110,7 @@ func TestStreamInRepairsKilledUpstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := record.NewWriter(conn)
+	w := record.NewBatchWriter(conn, record.PerRecordConfig())
 	sess := record.NewOpenScope(record.ScopeSession, 0)
 	mustWrite(t, w, sess)
 	clip := record.NewOpenScope(record.ScopeClip, 1)
@@ -285,7 +285,7 @@ func TestNetworkedPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func mustWrite(t *testing.T, w *record.Writer, r *record.Record) {
+func mustWrite(t *testing.T, w *record.BatchWriter, r *record.Record) {
 	t.Helper()
 	if err := w.Write(r); err != nil {
 		t.Fatalf("write: %v", err)

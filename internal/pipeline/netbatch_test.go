@@ -65,6 +65,11 @@ func TestStreamOutBatchedDelivery(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "full batch at receiver", func() bool { return col.count() == 4 })
+	// Records are counted once written, which may trail their arrival at
+	// the receiver: wait for the counters, then check the batching.
+	waitFor(t, 5*time.Second, "full batch counted", func() bool {
+		return out.RecordsOut() == 4 && out.BatchesOut() >= 1
+	})
 	if got := out.BatchesOut(); got != 1 {
 		t.Errorf("BatchesOut = %d, want 1 for a full batch", got)
 	}
@@ -74,9 +79,7 @@ func TestStreamOutBatchedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "timer-flushed record", func() bool { return col.count() == 5 })
-	if out.RecordsOut() != 5 {
-		t.Errorf("RecordsOut = %d, want 5", out.RecordsOut())
-	}
+	waitFor(t, 5*time.Second, "timer-flushed record counted", func() bool { return out.RecordsOut() == 5 })
 	if out.BytesOut() == 0 {
 		t.Error("BytesOut = 0 after deliveries")
 	}

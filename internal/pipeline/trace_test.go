@@ -63,7 +63,7 @@ func TestTraceProbeRoundTrip(t *testing.T) {
 	}
 	// The in-memory ingress stamp must not survive the wire.
 	p.IngressNanos = 42
-	dec, err := record.NewReader(bytes.NewReader(record.AppendWire(nil, p))).Read()
+	dec, err := record.NewReader(bytes.NewReader(record.AppendBatchWire(nil, p))).Read()
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

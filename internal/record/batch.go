@@ -10,30 +10,6 @@ import (
 	"time"
 )
 
-// FrameVersion selects a BatchWriter's wire framing. The zero value is
-// FrameV2 — the batch frame — so every batched path gets the coalesced
-// framing by default; FrameV1 is the escape hatch (cmd/dynriver -frame=v1)
-// for pinning the per-record framing. Readers sniff the framing per frame,
-// so the choice is purely a writer-side policy.
-type FrameVersion uint8
-
-const (
-	// FrameV2 frames a whole batch as one DRV2 frame: a 12-byte batch
-	// header, per-record entry headers, and a single trailing CRC-32C
-	// (hardware-accelerated) over the batch.
-	FrameV2 FrameVersion = iota
-	// FrameV1 frames every record individually (DRV1: per-record magic,
-	// header CRC and trailer CRC, both CRC-32/IEEE).
-	FrameV1
-)
-
-func (v FrameVersion) String() string {
-	if v == FrameV1 {
-		return "v1"
-	}
-	return "v2"
-}
-
 // BatchConfig parameterizes a BatchWriter's flush policy. A batch is
 // flushed — written to the output in one Write call — when any trigger
 // fires: the record count reaches the current adaptive trigger (MaxRecords
@@ -43,8 +19,8 @@ func (v FrameVersion) String() string {
 // explicitly.
 type BatchConfig struct {
 	// MaxRecords flushes after this many buffered records. Values <= 1
-	// select per-record writes (every Add is immediately flushable), the
-	// behavior of the plain Writer. When AdaptMax is set, MaxRecords is
+	// select per-record writes (every Add is immediately flushable). When
+	// AdaptMax is set, MaxRecords is
 	// the floor the adaptive trigger shrinks back to when the stream
 	// goes idle.
 	MaxRecords int
@@ -71,9 +47,7 @@ type BatchConfig struct {
 	// records carry out-of-band pipeline signals that must not sit in a
 	// buffer behind data.
 	FlushOnControl bool
-	// Frame selects the wire framing (default FrameV2, the batch frame).
-	Frame FrameVersion
-	// NoCopyMin is the payload size at or above which a v2 flush sends
+	// NoCopyMin is the payload size at or above which a flush sends
 	// the payload by reference through a vectored write (net.Buffers /
 	// writev) instead of copying it into the batch buffer. Such a record
 	// forces the batch to flush within the same Add/Write call, while the
@@ -93,14 +67,14 @@ const DefaultMaxBatchBytes = 256 << 10
 // to 8x the base 64 records before the byte bound takes over.
 const DefaultAdaptMax = 512
 
-// DefaultNoCopyMin is the default payload size above which v2 flushes
+// DefaultNoCopyMin is the default payload size above which flushes
 // hand the payload to writev by reference rather than memcpy it into the
 // batch buffer. Below ~4 KiB the copy is cheaper than growing the iovec
 // list; above it the copy dominates.
 const DefaultNoCopyMin = 4 << 10
 
 // DefaultBatchConfig returns the batching policy used by hosted segments:
-// v2 batch frames of up to 64 records (adapting up to DefaultAdaptMax
+// batch frames of up to 64 records (adapting up to DefaultAdaptMax
 // under backlog) or DefaultMaxBatchBytes, at most 2ms old, with prompt
 // delivery at top-level scope boundaries and for control records.
 func DefaultBatchConfig() BatchConfig {
@@ -114,9 +88,8 @@ func DefaultBatchConfig() BatchConfig {
 	}
 }
 
-// PerRecordConfig returns a policy that flushes every record immediately —
-// the plain Writer's delivery behavior, expressed as a BatchConfig (each
-// record travels as a single-record v2 batch frame).
+// PerRecordConfig returns a policy that flushes every record immediately:
+// each record travels as a single-record batch frame.
 func PerRecordConfig() BatchConfig {
 	return BatchConfig{MaxRecords: 1, FlushOnClose: true, FlushOnControl: true}
 }
@@ -163,10 +136,8 @@ type extSeg struct {
 // BatchWriter encodes records into an in-memory batch and writes the whole
 // batch to its output in a single Write call (a single writev when large
 // payloads ride by reference), cutting the per-record syscall overhead on
-// the streamout hot path. Under the default FrameV2 the batch travels as
-// one DRV2 frame — one header, one hardware CRC-32C — while FrameV1 emits
-// concatenated per-record DRV1 frames; readers decode either, including
-// pre-batching ones for v1.
+// the streamout hot path. The batch travels as one DRV2 frame — one
+// header, one hardware CRC-32C.
 //
 // BatchWriter separates buffering from I/O so callers that manage flaky
 // outputs (a streamout redialling a moved downstream) can retarget the
@@ -187,7 +158,7 @@ type BatchWriter struct {
 	// SetTimerDriven.
 	timerDriven bool
 
-	ext     []extSeg    // by-reference payloads of the pending v2 batch
+	ext     []extSeg    // by-reference payloads of the pending batch
 	extLen  int         // total bytes across ext
 	vecs    net.Buffers // reused iovec list for vectored flushes
 	scratch []byte      // spare buffer swapped with buf by materializeExt
@@ -228,23 +199,19 @@ func (b *BatchWriter) Add(r *Record) error {
 	if b.recs == 0 {
 		b.first = time.Now()
 	}
-	if b.cfg.Frame == FrameV1 {
-		b.buf = AppendWire(b.buf, r)
+	if b.recs == 0 {
+		// Reserve the batch header — magic now, count/bodyLen/CRC patched
+		// by Flush.
+		b.buf = appendU32(b.buf[:0], wireMagic)
+		b.buf = append(b.buf, zeroBatchHdr[4:]...)
+	}
+	b.buf = appendEntryHeader(b.buf, r)
+	if b.cfg.NoCopyMin > 0 && len(r.Payload) >= b.cfg.NoCopyMin {
+		b.ext = append(b.ext, extSeg{off: len(b.buf), p: r.Payload})
+		b.extLen += len(r.Payload)
+		b.force = true
 	} else {
-		if b.recs == 0 {
-			// Reserve the batch header — magic now, count/bodyLen/CRC
-			// patched by Flush.
-			b.buf = appendU32(b.buf[:0], wireMagicV2)
-			b.buf = append(b.buf, zeroBatchHdr[4:]...)
-		}
-		b.buf = appendEntryHeader(b.buf, r)
-		if b.cfg.NoCopyMin > 0 && len(r.Payload) >= b.cfg.NoCopyMin {
-			b.ext = append(b.ext, extSeg{off: len(b.buf), p: r.Payload})
-			b.extLen += len(r.Payload)
-			b.force = true
-		} else {
-			b.buf = append(b.buf, r.Payload...)
-		}
+		b.buf = append(b.buf, r.Payload...)
 	}
 	b.recs++
 	if (b.cfg.FlushOnControl && r.Kind == KindControl) ||
@@ -276,7 +243,7 @@ func (b *BatchWriter) SetTimerDriven(v bool) { b.timerDriven = v }
 func (b *BatchWriter) Pending() int { return b.recs }
 
 // PendingBytes returns the encoded size of the pending batch (excluding
-// the v2 trailer, which is appended at flush time).
+// the trailer, which is appended at flush time).
 func (b *BatchWriter) PendingBytes() int { return len(b.buf) + b.extLen }
 
 // Age returns how long the oldest pending record has been buffered, or 0
@@ -288,7 +255,7 @@ func (b *BatchWriter) Age() time.Duration {
 	return time.Since(b.first)
 }
 
-// zeroBatchHdr is the placeholder v2 batch header reserved on the first
+// zeroBatchHdr is the placeholder batch header reserved on the first
 // Add of a batch and patched by Flush.
 var zeroBatchHdr [batchHdrSize]byte
 
@@ -306,14 +273,7 @@ func (b *BatchWriter) Flush() error {
 		b.materializeExt()
 		return ErrNoOutput
 	}
-	if b.cfg.Frame == FrameV1 {
-		if _, err := b.out.Write(b.buf); err != nil {
-			return fmt.Errorf("record: batch flush: %w", err)
-		}
-		b.finishFlush(len(b.buf))
-		return nil
-	}
-	// Patch the v2 batch header and compute the whole-batch CRC-32C in one
+	// Patch the batch header and compute the whole-batch CRC-32C in one
 	// pass over the buffer and any by-reference payload segments.
 	bodyLen := len(b.buf) - batchHdrSize + b.extLen
 	putU16(b.buf[4:], uint16(b.recs))
@@ -437,8 +397,8 @@ func (b *BatchWriter) Discard() int {
 	return n
 }
 
-// Write encodes r and flushes if a policy trigger fires — the drop-in
-// batched replacement for Writer.Write when the output is stable.
+// Write encodes r and flushes if a policy trigger fires, for callers whose
+// output is stable.
 func (b *BatchWriter) Write(r *Record) error {
 	if err := b.Add(r); err != nil {
 		return err
@@ -449,7 +409,8 @@ func (b *BatchWriter) Write(r *Record) error {
 	return nil
 }
 
-// Count returns the number of records flushed to the output.
+// Count returns the number of records flushed to the output. A record is
+// counted once it is written, when the write carrying its batch returns.
 func (b *BatchWriter) Count() uint64 { return b.nRecs.Load() }
 
 // Batches returns the number of batch writes issued.

@@ -203,12 +203,12 @@ func TestBatchWriterRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestBatchInteropWithPlainReader proves the wire format is unchanged: a
-// stream produced by a mix of batched and per-record writers decodes with
-// the ordinary Reader, records in order.
+// TestBatchInteropWithPlainReader proves writer policy is invisible on the
+// wire: a stream produced by a mix of batched and per-record writers
+// decodes with the ordinary Reader, records in order.
 func TestBatchInteropWithPlainReader(t *testing.T) {
 	var buf bytes.Buffer
-	plain := NewWriter(&buf)
+	plain := NewBatchWriter(&buf, PerRecordConfig())
 	if err := plain.Write(batchData(0)); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
@@ -30,7 +31,7 @@ func sampleRecords() []*Record {
 
 func TestWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewBatchWriter(&buf, PerRecordConfig())
 	recs := sampleRecords()
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
@@ -58,24 +59,15 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireSize(t *testing.T) {
-	for _, rec := range sampleRecords() {
-		enc := AppendWire(nil, rec)
-		if len(enc) != WireSize(rec) {
-			t.Errorf("WireSize(%s) = %d, encoded %d bytes", rec, WireSize(rec), len(enc))
-		}
-	}
-}
-
 func TestWriteInvalidKind(t *testing.T) {
-	w := NewWriter(io.Discard)
+	w := NewBatchWriter(io.Discard, PerRecordConfig())
 	if err := w.Write(&Record{}); err == nil {
 		t.Error("writing a zero-kind record should fail")
 	}
 }
 
 func TestWriteTooLarge(t *testing.T) {
-	w := NewWriter(io.Discard)
+	w := NewBatchWriter(io.Discard, PerRecordConfig())
 	r := NewData(0)
 	r.PayloadType = PayloadBytes
 	r.Payload = make([]byte, MaxPayload+1)
@@ -87,8 +79,8 @@ func TestWriteTooLarge(t *testing.T) {
 func TestReadTruncatedMidRecord(t *testing.T) {
 	rec := NewData(SubtypeAudio)
 	rec.SetFloat64s([]float64{1, 2, 3, 4})
-	enc := AppendWire(nil, rec)
-	for _, cut := range []int{5, headerSize - 1, headerSize + 3, len(enc) - 1} {
+	enc := AppendBatchWire(nil, rec)
+	for _, cut := range []int{5, batchHdrSize - 1, batchHdrSize + 3, len(enc) - 1} {
 		r := NewReader(bytes.NewReader(enc[:cut]))
 		if _, err := r.Read(); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("cut=%d: expected ErrUnexpectedEOF, got %v", cut, err)
@@ -97,15 +89,15 @@ func TestReadTruncatedMidRecord(t *testing.T) {
 }
 
 func TestReadCorruptPayloadResync(t *testing.T) {
-	// Two records; corrupt a payload byte in the first. The non-strict
+	// Two frames; corrupt a payload byte in the first. The non-strict
 	// reader should skip to the second record.
 	r1 := NewData(SubtypeAudio)
 	r1.SetFloat64s([]float64{1, 2, 3})
 	r2 := NewData(SubtypeAudio)
 	r2.SetFloat64s([]float64{9, 8})
-	enc := AppendWire(nil, r1)
-	enc[headerSize+2] ^= 0xFF
-	enc = AppendWire(enc, r2)
+	enc := AppendBatchWire(nil, r1)
+	enc[batchHdrSize+entryHdrSize+2] ^= 0xFF
+	enc = AppendBatchWire(enc, r2)
 
 	rd := NewReader(bytes.NewReader(enc))
 	got, err := rd.Read()
@@ -120,8 +112,8 @@ func TestReadCorruptPayloadResync(t *testing.T) {
 func TestReadCorruptStrict(t *testing.T) {
 	r1 := NewData(SubtypeAudio)
 	r1.SetFloat64s([]float64{1})
-	enc := AppendWire(nil, r1)
-	enc[headerSize] ^= 0x01
+	enc := AppendBatchWire(nil, r1)
+	enc[batchHdrSize] ^= 0x01
 	rd := NewReader(bytes.NewReader(enc))
 	rd.SetStrict(true)
 	if _, err := rd.Read(); !errors.Is(err, ErrBadChecksum) {
@@ -133,7 +125,7 @@ func TestReadGarbagePrefix(t *testing.T) {
 	rec := NewData(SubtypeAudio)
 	rec.SetPCM16([]int16{42})
 	garbage := []byte("this is not a record at all.....")
-	enc := append(append([]byte{}, garbage...), AppendWire(nil, rec)...)
+	enc := append(append([]byte{}, garbage...), AppendBatchWire(nil, rec)...)
 	rd := NewReader(bytes.NewReader(enc))
 	got, err := rd.Read()
 	if err != nil {
@@ -146,16 +138,60 @@ func TestReadGarbagePrefix(t *testing.T) {
 
 func TestReadOversizedLength(t *testing.T) {
 	rec := NewData(0)
-	enc := AppendWire(nil, rec)
-	// Force the length field beyond MaxPayload.
-	enc[25] = 0xFF
-	enc[26] = 0xFF
-	enc[27] = 0xFF
-	enc[28] = 0xFF
+	enc := AppendBatchWire(nil, rec)
+	// Force the body length beyond MaxBatchBody under a valid header CRC,
+	// so only the bound check stands between the reader and the length.
+	putU32(enc[6:], 0xFFFFFFFF)
+	putU16(enc[10:], uint16(crc32.Checksum(enc[4:10], castagnoli)))
 	rd := NewReader(bytes.NewReader(enc))
 	rd.SetStrict(true)
-	if _, err := rd.Read(); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("expected ErrTooLarge, got %v", err)
+	if _, err := rd.Read(); !errors.Is(err, ErrBadBatch) {
+		t.Errorf("expected ErrBadBatch, got %v", err)
+	}
+}
+
+// drv1Between returns a batch of before, a well-formed frame of the
+// retired per-record DRV1 format (magic, entry header, IEEE header CRC,
+// payload, IEEE trailer CRC), then a batch of after.
+func drv1Between(before, after []*Record) []byte {
+	wire := AppendBatchWire(nil, before...)
+	start := len(wire)
+	wire = append(wire, "DRV1"...)
+	wire = appendEntryHeader(wire, before[0])
+	wire = appendU16(wire, uint16(crc32.ChecksumIEEE(wire[start+4:])))
+	wire = append(wire, before[0].Payload...)
+	wire = appendU32(wire, crc32.ChecksumIEEE(wire[start+4:]))
+	return AppendBatchWire(wire, after...)
+}
+
+// TestDRV1FrameIsGarbage pins the single framing: a frame of the retired
+// per-record DRV1 format between two batches is skipped by the resync
+// scan, and a strict reader reports it as a bad magic word.
+func TestDRV1FrameIsGarbage(t *testing.T) {
+	recs := v2TestRecords(4)
+	wire := drv1Between(recs[:2], recs[2:])
+
+	rd := NewReader(bytes.NewReader(wire))
+	for i, want := range recs {
+		got, err := rd.Read()
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		sameRecord(t, got, want, i)
+	}
+	if _, err := rd.Read(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after stream: %v, want EOF", err)
+	}
+
+	strict := NewReader(bytes.NewReader(wire))
+	strict.SetStrict(true)
+	for i := 0; i < 2; i++ {
+		if _, err := strict.Read(); err != nil {
+			t.Fatalf("strict read %d: %v", i, err)
+		}
+	}
+	if _, err := strict.Read(); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("strict read of DRV1 frame: %v, want ErrBadMagic", err)
 	}
 }
 
@@ -184,12 +220,7 @@ func TestQuickWireRoundTrip(t *testing.T) {
 			rec.Payload = nil
 			rec.PayloadType = PayloadNone
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.Write(rec); err != nil {
-			return false
-		}
-		got, err := NewReader(&buf).Read()
+		got, err := NewReader(bytes.NewReader(AppendBatchWire(nil, rec))).Read()
 		if err != nil {
 			return false
 		}
@@ -200,8 +231,9 @@ func TestQuickWireRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a stream of N records with one corrupted byte anywhere loses at
-// most the affected record(s); the reader never loops forever or panics.
+// Property: a stream of N single-record frames with one corrupted byte
+// anywhere loses at most the affected record(s); the reader never loops
+// forever or panics.
 func TestQuickCorruptionRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -210,7 +242,7 @@ func TestQuickCorruptionRecovery(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rec := NewData(uint16(i))
 			rec.SetFloat64s([]float64{float64(i), float64(i) * 2})
-			enc = AppendWire(enc, rec)
+			enc = AppendBatchWire(enc, rec)
 		}
 		flip := rng.Intn(len(enc))
 		enc[flip] ^= byte(1 + rng.Intn(255))
@@ -243,7 +275,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendWire(buf[:0], rec)
+		buf = AppendBatchWire(buf[:0], rec)
 	}
 }
 
@@ -251,7 +283,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	rec := NewData(SubtypeAudio)
 	samples := make([]float64, 1024)
 	rec.SetFloat64s(samples)
-	enc := AppendWire(nil, rec)
+	enc := AppendBatchWire(nil, rec)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()

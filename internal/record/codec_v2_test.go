@@ -55,55 +55,6 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedFramingStream interleaves v1 records and v2 batches on one
-// stream: the reader must sniff each frame and decode all of them in
-// order.
-func TestMixedFramingStream(t *testing.T) {
-	recs := v2TestRecords(10)
-	var wire []byte
-	wire = AppendWire(wire, recs[0])
-	wire = AppendBatchWire(wire, recs[1:4]...)
-	wire = AppendWire(wire, recs[4])
-	wire = AppendWire(wire, recs[5])
-	wire = AppendBatchWire(wire, recs[6:]...)
-	rd := NewReader(bytes.NewReader(wire))
-	for i, want := range recs {
-		got, err := rd.Read()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		sameRecord(t, got, want, i)
-	}
-	if _, err := rd.Read(); !errors.Is(err, io.EOF) {
-		t.Fatalf("after stream: %v, want EOF", err)
-	}
-}
-
-// TestBatchWriterFrameV1 pins the escape hatch: a FrameV1 writer emits
-// per-record DRV1 frames byte-identical to AppendWire.
-func TestBatchWriterFrameV1(t *testing.T) {
-	recs := v2TestRecords(5)
-	var want []byte
-	for _, r := range recs {
-		want = AppendWire(want, r)
-	}
-	var buf bytes.Buffer
-	cfg := DefaultBatchConfig()
-	cfg.Frame = FrameV1
-	bw := NewBatchWriter(&buf, cfg)
-	for _, r := range recs {
-		if err := bw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("FrameV1 batch writer output differs from AppendWire framing")
-	}
-}
-
 // TestCorruptBatchSkipped is the skip-mode resync contract: corruption
 // inside one v2 batch loses exactly that batch — the reader counts it,
 // re-syncs on the next frame magic, and keeps decoding the rest of the

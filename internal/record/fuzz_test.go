@@ -13,34 +13,33 @@ import (
 // Fuzz targets for the wire codec. FuzzReader throws arbitrary bytes at
 // the decoder — it must terminate without panicking and without handing
 // back invalid records, whatever the input claims about lengths, counts,
-// or checksums. FuzzBatchRoundTrip fuzzes the field space and checks
-// both framings decode back to the exact input. Seed corpus lives in
+// or checksums. FuzzBatchRoundTrip fuzzes the field space and checks a
+// batch frame decodes back to the exact input. Seed corpus lives in
 // testdata/fuzz/ (regenerate with -update-golden); CI runs each target
 // briefly on every push.
 
 // fuzzReaderSeeds returns the committed seed inputs for FuzzReader:
-// well-formed streams in both framings plus mutations that aim at each
-// validation branch (bad magic, bad header CRC, bad batch CRC, torn
-// frame, absurd lengths).
+// a well-formed stream plus mutations that aim at each validation branch
+// (bad magic, bad header CRC, bad batch CRC, torn frame, absurd lengths,
+// a DRV1 frame between batches, a torn header after a good frame).
 func fuzzReaderSeeds(t testing.TB) [][]byte {
 	recs := v2TestRecords(4)
-	v1 := AppendWire(nil, recs[0])
-	v1 = AppendWire(v1, recs[1])
-	v2 := AppendBatchWire(nil, recs...)
-	mixed := append(append([]byte{}, v1...), v2...)
+	wire := AppendBatchWire(nil, recs...)
 
-	badBatchCRC := append([]byte{}, v2...)
+	badBatchCRC := append([]byte{}, wire...)
 	badBatchCRC[len(badBatchCRC)-1] ^= 0xFF
-	badHdrCRC := append([]byte{}, v2...)
+	badHdrCRC := append([]byte{}, wire...)
 	badHdrCRC[10] ^= 0xFF
-	badLen := append([]byte{}, v2...)
+	badLen := append([]byte{}, wire...)
 	putU32(badLen[6:], 0xFFFFFFFF)
-	torn := v2[:len(v2)/2]
-	garbagePrefix := append([]byte("DRVX\x00\x01garbage DRV"), v2...)
+	torn := wire[:len(wire)/2]
+	garbagePrefix := append([]byte("DRVX\x00\x01garbage DRV"), wire...)
+	tornHeader := append(append([]byte{}, wire...), wire[:batchHdrSize-2]...)
 
 	return [][]byte{
-		v1, v2, mixed, badBatchCRC, badHdrCRC, badLen, torn, garbagePrefix,
+		wire, badBatchCRC, badHdrCRC, badLen, torn, garbagePrefix,
 		[]byte("DRV1"), []byte("DRV2"), {},
+		drv1Between(recs[:2], recs[2:]), tornHeader,
 	}
 }
 
@@ -82,24 +81,17 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			{Kind: KindCloseScope, Subtype: subtype, Scope: 1, ScopeType: ScopeClip,
 				Seq: seq + 1, SourceID: src, PayloadType: PayloadNone, Payload: p2},
 		}
-		var v1 []byte
-		for _, r := range in {
-			v1 = AppendWire(v1, r)
+		rd := NewReader(bytes.NewReader(AppendBatchWire(nil, in...)))
+		rd.SetStrict(true)
+		for i, want := range in {
+			got, err := rd.Read()
+			if err != nil {
+				t.Fatalf("decode %d: %v", i, err)
+			}
+			sameRecord(t, got, want, i)
 		}
-		v2 := AppendBatchWire(nil, in...)
-		for name, wire := range map[string][]byte{"v1": v1, "v2": v2} {
-			rd := NewReader(bytes.NewReader(wire))
-			rd.SetStrict(true)
-			for i, want := range in {
-				got, err := rd.Read()
-				if err != nil {
-					t.Fatalf("%s decode %d: %v", name, i, err)
-				}
-				sameRecord(t, got, want, i)
-			}
-			if _, err := rd.Read(); !errors.Is(err, io.EOF) {
-				t.Fatalf("%s trailing: %v", name, err)
-			}
+		if _, err := rd.Read(); !errors.Is(err, io.EOF) {
+			t.Fatalf("trailing: %v", err)
 		}
 	})
 }

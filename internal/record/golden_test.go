@@ -10,17 +10,17 @@ import (
 	"testing"
 )
 
-// The golden files pin both wire framings byte-for-byte. A reader from
-// any release must keep decoding both, and an encoder change that moves
-// a single byte fails the comparison instead of silently forking the
-// format. Regenerate (after an intentional, version-bumped format
-// change) with:
+// The golden file pins the wire framing byte-for-byte. A reader from any
+// release must keep decoding it, and an encoder change that moves a
+// single byte fails the comparison instead of silently forking the
+// format. Regenerate (after an intentional, version-bumped format change)
+// with:
 //
 //	go test ./internal/record -run TestGolden -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden wire-format files")
 
-// goldenRecords is the fixed corpus behind both golden files. Do not
-// edit: the files in testdata encode exactly these records.
+// goldenRecords is the fixed corpus behind the golden file. Do not edit:
+// testdata/golden_v2.bin encodes exactly these records.
 func goldenRecords() []*Record {
 	mk := func(kind Kind, subtype, scope uint16, st ScopeType, seq uint64, src uint32, pt PayloadType, payload []byte) *Record {
 		return &Record{Kind: kind, Subtype: subtype, Scope: scope, ScopeType: st,
@@ -35,59 +35,40 @@ func goldenRecords() []*Record {
 	}
 }
 
-func goldenWire(t *testing.T, version int) []byte {
-	t.Helper()
-	recs := goldenRecords()
-	switch version {
-	case 1:
-		var w []byte
-		for _, r := range recs {
-			w = AppendWire(w, r)
-		}
-		return w
-	case 2:
-		// Two batches, exercising both a multi-record and a singleton
-		// batch in one stream.
-		w := AppendBatchWire(nil, recs[:4]...)
-		return AppendBatchWire(w, recs[4])
-	}
-	t.Fatalf("unknown golden version %d", version)
-	return nil
-}
-
 func TestGoldenWireFormats(t *testing.T) {
-	for version, name := range map[int]string{1: "golden_v1.bin", 2: "golden_v2.bin"} {
-		path := filepath.Join("testdata", name)
-		wire := goldenWire(t, version)
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, wire, 0o644); err != nil {
-				t.Fatal(err)
-			}
+	path := filepath.Join("testdata", "golden_v2.bin")
+	// Two batches, exercising both a multi-record and a singleton batch in
+	// one stream.
+	recs := goldenRecords()
+	wire := AppendBatchWire(AppendBatchWire(nil, recs[:4]...), recs[4])
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
+		if err := os.WriteFile(path, wire, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	// Encoder direction: today's encoder must reproduce the pinned bytes
+	// exactly.
+	if !bytes.Equal(wire, want) {
+		t.Errorf("encoder output differs from %s: the wire format changed", path)
+	}
+	// Decoder direction: today's reader must decode the pinned bytes back
+	// to the original records.
+	rd := NewReader(bytes.NewReader(want))
+	for i, wantRec := range recs {
+		got, err := rd.Read()
 		if err != nil {
-			t.Fatalf("%v (run with -update-golden to create)", err)
+			t.Fatalf("golden decode %d: %v", i, err)
 		}
-		// Encoder direction: today's encoder must reproduce the pinned
-		// bytes exactly.
-		if !bytes.Equal(wire, want) {
-			t.Errorf("v%d encoder output differs from %s: the wire format changed", version, path)
-		}
-		// Decoder direction: today's reader must decode the pinned bytes
-		// back to the original records.
-		rd := NewReader(bytes.NewReader(want))
-		for i, wantRec := range goldenRecords() {
-			got, err := rd.Read()
-			if err != nil {
-				t.Fatalf("v%d golden decode %d: %v", version, i, err)
-			}
-			sameRecord(t, got, wantRec, i)
-		}
-		if _, err := rd.Read(); !errors.Is(err, io.EOF) {
-			t.Fatalf("v%d golden trailing data: %v", version, err)
-		}
+		sameRecord(t, got, wantRec, i)
+	}
+	if _, err := rd.Read(); !errors.Is(err, io.EOF) {
+		t.Fatalf("golden trailing data: %v", err)
 	}
 }

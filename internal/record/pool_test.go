@@ -36,16 +36,14 @@ func TestPoolRoundTrip(t *testing.T) {
 // TestPooledReaderAliasing is the ownership-contract regression test: a
 // record decoded from a pooled reader and still held by its owner must
 // not be corrupted when other records cycle through the pool — decode →
-// release → decode must never alias a held record's storage.
+// release → decode must never alias a held record's storage. Each record
+// travels in its own frame, so every Read crosses a frame boundary.
 func TestPooledReaderAliasing(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var wire []byte
 	for i := 0; i < 3; i++ {
-		if err := w.Write(poolSample(uint64(i), byte('a'+i), 64)); err != nil {
-			t.Fatal(err)
-		}
+		wire = AppendBatchWire(wire, poolSample(uint64(i), byte('a'+i), 64))
 	}
-	rd := NewReader(&buf)
+	rd := NewReader(bytes.NewReader(wire))
 	rd.SetPooled(true)
 
 	r1, err := rd.Read()
@@ -155,7 +153,7 @@ func TestPooledDecodeAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under -race; pooled paths allocate by design")
 	}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewBatchWriter(&buf, PerRecordConfig())
 	const n = 64
 	for i := 0; i < n; i++ {
 		if err := w.Write(poolSample(uint64(i), byte(i), 256)); err != nil {

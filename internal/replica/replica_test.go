@@ -80,7 +80,7 @@ func TestMergerDedup(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			w := record.NewWriter(conn)
+			w := record.NewBatchWriter(conn, record.PerRecordConfig())
 			for i := 0; i < n; i++ {
 				if err := w.Write(taggedData(t, stream, 1, uint64(i), float64(i))); err != nil {
 					t.Errorf("leg %d write %d: %v", leg, i, err)
@@ -127,7 +127,7 @@ func TestMergerReordersAcrossLegs(t *testing.T) {
 
 	stream := record.ReplicaStreamID("g")
 	write := func(conn net.Conn, seqs []uint64) {
-		w := record.NewWriter(conn)
+		w := record.NewBatchWriter(conn, record.PerRecordConfig())
 		for _, s := range seqs {
 			if err := w.Write(taggedData(t, stream, 1, s, float64(s))); err != nil {
 				t.Errorf("write %d: %v", s, err)
@@ -186,7 +186,7 @@ func TestMergerWindowSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	w := record.NewWriter(conn)
+	w := record.NewBatchWriter(conn, record.PerRecordConfig())
 	// Open a scope, then jump the sequence: records 2..10 buffer behind
 	// the missing record 1 until the 9-deep window overflows its bound of
 	// 8 and the merger skips.
@@ -233,7 +233,7 @@ func TestMergerEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	w := record.NewWriter(conn)
+	w := record.NewBatchWriter(conn, record.PerRecordConfig())
 	for i := uint64(0); i < 3; i++ {
 		if err := w.Write(taggedData(t, stream, 1, i, 0)); err != nil {
 			t.Fatal(err)
@@ -466,79 +466,76 @@ func TestSplitterMergerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSplitterMergerFrameInterop runs the exactly-once replica path under
-// both wire framings: a FrameV1 splitter against today's merger (old
-// writer, new reader) and the default v2 framing. The merger sniffs each
-// frame, so both must dedup 2x-replicated batched streams to exactly-once
+// TestSplitterMergerFrameInterop runs the exactly-once replica path with
+// batch-framed legs: a splitter under the default flush policy against
+// the merger must dedup a 2x-replicated batched stream to exactly-once
 // with nothing flagged corrupt.
 func TestSplitterMergerFrameInterop(t *testing.T) {
-	for _, frame := range []record.FrameVersion{record.FrameV1, record.FrameV2} {
-		t.Run(frame.String(), func(t *testing.T) {
-			m, err := NewMerger(MergerConfig{Group: "g", ListenAddr: "127.0.0.1:0"})
+	// v2 names the DRV2 batch frame, the one framing the legs speak.
+	t.Run("v2", func(t *testing.T) {
+		m, err := NewMerger(MergerConfig{Group: "g", ListenAddr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &collectEmitter{}
+		mergeDone := make(chan error, 1)
+		go func() { mergeDone <- m.Run(sink) }()
+
+		flush := record.DefaultBatchConfig()
+		flush.MaxDelay = time.Millisecond
+		// Two relay hops feed the same merger: every record arrives twice
+		// and dedup must halve it. (Legs are keyed by address, so they
+		// must be distinct endpoints.)
+		reg := pipeline.NewRegistry()
+		reg.Register("relay", func() []pipeline.Operator { return []pipeline.Operator{pipeline.Relay{}} })
+		node := pipeline.NewNode("n", reg)
+		legs := make([]string, 2)
+		for i := range legs {
+			addr, err := node.Host(fmt.Sprintf("fi%d", i), "relay", "127.0.0.1:0", m.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink := &collectEmitter{}
-			mergeDone := make(chan error, 1)
-			go func() { mergeDone <- m.Run(sink) }()
-
-			flush := record.DefaultBatchConfig()
-			flush.Frame = frame
-			flush.MaxDelay = time.Millisecond
-			// Two relay hops feed the same merger: every record arrives twice
-			// and dedup must halve it. (Legs are keyed by address, so they
-			// must be distinct endpoints.)
-			reg := pipeline.NewRegistry()
-			reg.Register("relay", func() []pipeline.Operator { return []pipeline.Operator{pipeline.Relay{}} })
-			node := pipeline.NewNode("n", reg)
-			legs := make([]string, 2)
-			for i := range legs {
-				addr, err := node.Host(fmt.Sprintf("fi%d", i), "relay", "127.0.0.1:0", m.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				legs[i] = addr
-			}
-			s := NewSplitter(SplitterConfig{
-				Group: "g", Epoch: 1, Legs: legs, Flush: flush,
-			})
-
-			const n = 500
-			for i := 0; i < n; i++ {
-				r := record.NewData(record.SubtypeAudio)
-				r.SetFloat64s([]float64{float64(i)})
-				if err := s.Consume(r); err != nil {
-					t.Fatal(err)
-				}
-				record.Release(r)
-			}
-			waitCond(t, 10*time.Second, "all records through", func() bool { return sink.len() >= n })
-			waitCond(t, 10*time.Second, "redundant copies discarded", func() bool { return m.Dups() >= n })
-			_ = s.Close()
-			_ = node.StopAll()
-			_ = m.Close()
-			<-mergeDone
-
-			recs := sink.snapshot()
-			if len(recs) != n {
-				t.Fatalf("delivered %d records, want exactly %d (dups=%d skipped=%d)",
-					len(recs), n, m.Dups(), m.Skipped())
-			}
-			stream := record.ReplicaStreamID("g")
-			for i, r := range recs {
-				if _, seq, ok := record.ReplicaTag(r, stream); !ok || seq != uint64(i) {
-					t.Fatalf("record %d: tag ok=%v seq=%d", i, ok, seq)
-				}
-			}
-			if m.Skipped() != 0 {
-				t.Errorf("skipped = %d, want 0", m.Skipped())
-			}
-			if m.CorruptBatches() != 0 {
-				t.Errorf("corrupt batches = %d on a clean stream", m.CorruptBatches())
-			}
-			if m.Dups() == 0 {
-				t.Error("dups = 0: the 2x replication never exercised dedup")
-			}
+			legs[i] = addr
+		}
+		s := NewSplitter(SplitterConfig{
+			Group: "g", Epoch: 1, Legs: legs, Flush: flush,
 		})
-	}
+
+		const n = 500
+		for i := 0; i < n; i++ {
+			r := record.NewData(record.SubtypeAudio)
+			r.SetFloat64s([]float64{float64(i)})
+			if err := s.Consume(r); err != nil {
+				t.Fatal(err)
+			}
+			record.Release(r)
+		}
+		waitCond(t, 10*time.Second, "all records through", func() bool { return sink.len() >= n })
+		waitCond(t, 10*time.Second, "redundant copies discarded", func() bool { return m.Dups() >= n })
+		_ = s.Close()
+		_ = node.StopAll()
+		_ = m.Close()
+		<-mergeDone
+
+		recs := sink.snapshot()
+		if len(recs) != n {
+			t.Fatalf("delivered %d records, want exactly %d (dups=%d skipped=%d)",
+				len(recs), n, m.Dups(), m.Skipped())
+		}
+		stream := record.ReplicaStreamID("g")
+		for i, r := range recs {
+			if _, seq, ok := record.ReplicaTag(r, stream); !ok || seq != uint64(i) {
+				t.Fatalf("record %d: tag ok=%v seq=%d", i, ok, seq)
+			}
+		}
+		if m.Skipped() != 0 {
+			t.Errorf("skipped = %d, want 0", m.Skipped())
+		}
+		if m.CorruptBatches() != 0 {
+			t.Errorf("corrupt batches = %d on a clean stream", m.CorruptBatches())
+		}
+		if m.Dups() == 0 {
+			t.Error("dups = 0: the 2x replication never exercised dedup")
+		}
+	})
 }

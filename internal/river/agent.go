@@ -2,6 +2,7 @@ package river
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -116,7 +117,9 @@ func (a *Agent) Node() *pipeline.Node { return a.node }
 // the gap. All hosted segments are stopped on the way out, so cancelling
 // ctx kills the node's share of the data plane too — this is what "node
 // death" means in tests and demos. A non-nil error means the agent gave
-// up after DialAttempts consecutive failed session attempts.
+// up after DialAttempts consecutive failed session attempts, or at once
+// when the coordinator speaks another protocol version (an error matching
+// ErrProtocolMismatch).
 func (a *Agent) Run(ctx context.Context) error {
 	defer func() { _ = a.node.StopAll() }()
 	if a.MetricsAddr != "" {
@@ -142,6 +145,9 @@ func (a *Agent) Run(ctx context.Context) error {
 		registered, err := a.session(ctx)
 		if ctx.Err() != nil {
 			return nil
+		}
+		if errors.Is(err, ErrProtocolMismatch) {
+			return err
 		}
 		if registered {
 			failures = 0
@@ -216,6 +222,10 @@ func (a *Agent) session(ctx context.Context) (registered bool, err error) {
 			break
 		}
 		pending = append(pending, msg)
+	}
+	if ack.Ver != ProtocolVersion {
+		return false, fmt.Errorf("river: agent %s: %w: coordinator speaks v%d, agent v%d",
+			a.name, ErrProtocolMismatch, ack.Ver, ProtocolVersion)
 	}
 	if ack.Err != "" {
 		// Typically "name already registered": the coordinator has not

@@ -193,7 +193,7 @@ func WatchEntryUpdates(ctx context.Context, coordAddr string, fn func(addr strin
 // WatchPipelineEntry is the pipeline-scoped entry watch (protocol v5): a
 // station serving pipeline ID follows only that pipeline's entry
 // address — another pipeline's failover never disturbs it. The empty ID
-// follows the default pipeline, which is all pre-v5 coordinators have.
+// follows the default pipeline.
 // Watching a pipeline the coordinator does not know fails with an error.
 func WatchPipelineEntry(ctx context.Context, coordAddr, pipelineID string, fn func(addr string, boundary bool)) error {
 	conn, err := (&net.Dialer{Timeout: 5 * time.Second}).DialContext(ctx, "tcp", coordAddr)

@@ -97,12 +97,9 @@ type Config struct {
 	// node pool and the Placer — while reconciliation, drains, failover
 	// and entry watches operate per pipeline. More pipelines can be added
 	// (and removed) at runtime via AddPipeline/RemovePipeline or the
-	// protocol's pipeline_add/pipeline_remove verbs.
+	// protocol's pipeline_add/pipeline_remove verbs. A spec with the
+	// empty ID is the default pipeline, whose units keep bare names.
 	Pipelines []PipelineSpec
-	// Spec is the single-pipeline back-compat form: equivalent to
-	// Pipelines holding one spec with the empty (default) ID. Ignored
-	// when Pipelines is set.
-	Spec PipelineSpec
 	// HeartbeatInterval is the cadence agents are told to beat at
 	// (default 250ms).
 	HeartbeatInterval time.Duration
@@ -219,7 +216,6 @@ func (c Config) withDefaults() Config {
 type member struct {
 	name     string
 	w        *wire
-	proto    int // protocol version announced at register (0/absent = v1)
 	lastBeat time.Time
 	stats    []SegmentStatus
 	// marks tracks per-unit loss-counter baselines (keyed by unit name)
@@ -351,15 +347,6 @@ func (ew *entryWatcher) take() *Message {
 // instance; it matches the RedirectAtBoundary fallback sources use.
 const entryBoundaryWindow = 5 * time.Second
 
-// bootPipelines resolves the configured pipeline set: Pipelines as given,
-// or the single-pipeline Spec under the default ID.
-func (c Config) bootPipelines() []PipelineSpec {
-	if len(c.Pipelines) > 0 {
-		return c.Pipelines
-	}
-	return []PipelineSpec{c.Spec}
-}
-
 // NewCoordinator validates cfg, binds the control listener and starts the
 // coordinator's accept and reconcile loops.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
@@ -370,7 +357,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.Autoscale.validate(); err != nil {
 		return nil, err
 	}
-	boot := cfg.bootPipelines()
+	boot := cfg.Pipelines
+	if len(boot) == 0 {
+		return nil, errors.New("river: no pipelines configured")
+	}
 	ids := make(map[string]bool, len(boot))
 	for _, spec := range boot {
 		if err := spec.validate(); err != nil {
@@ -673,7 +663,6 @@ func (c *Coordinator) Status() *ClusterStatus {
 			Name:       name,
 			LastBeatMS: now.Sub(m.lastBeat).Milliseconds(),
 			Segments:   segs,
-			Proto:      m.proto,
 		})
 	}
 	for _, id := range c.st.order {
@@ -798,19 +787,28 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 // then folds heartbeats into the member state and routes request acks to
 // their waiters until the connection drops.
 func (c *Coordinator) serveNode(w *wire, reg *Message) {
+	// Every register ack, rejections included, carries the coordinator's
+	// version: the agent checks it before anything else.
+	reject := func(format string, args ...any) {
+		_ = w.send(&Message{Type: TypeAck, Ver: ProtocolVersion, Err: fmt.Sprintf(format, args...)})
+	}
 	name := reg.Node
 	if name == "" {
-		_ = w.send(&Message{Type: TypeAck, Err: "register without node name"})
+		reject("register without node name")
 		return
 	}
-	proto := reg.Ver
-	if proto == 0 {
-		proto = 1 // pre-versioning agents sent no Ver
+	if reg.Ver != ProtocolVersion {
+		// One build, one protocol: a peer announcing any other version (or
+		// none) is refused before it becomes a member.
+		c.event(obs.Event{Type: obs.EventRegisterRejected, Node: name,
+			Detail: fmt.Sprintf("agent protocol v%d, coordinator v%d", reg.Ver, ProtocolVersion)})
+		c.logf("node %s rejected: protocol v%d, want v%d", name, reg.Ver, ProtocolVersion)
+		reject("%v: agent speaks v%d, coordinator v%d", ErrProtocolMismatch, reg.Ver, ProtocolVersion)
+		return
 	}
 	m := &member{
 		name:     name,
 		w:        w,
-		proto:    proto,
 		lastBeat: time.Now(),
 		marks:    make(map[string]counterMark),
 		pending:  make(map[uint64]chan *Message),
@@ -818,7 +816,7 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 	c.mu.Lock()
 	if _, dup := c.nodes[name]; dup {
 		c.mu.Unlock()
-		_ = w.send(&Message{Type: TypeAck, Err: fmt.Sprintf("node name %q already registered", name)})
+		reject("node name %q already registered", name)
 		return
 	}
 	c.nodes[name] = m
@@ -828,8 +826,8 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 	// state: adopt what matches (the v4 detach/re-register path — after a
 	// control blip or a coordinator restart the instances never stopped),
 	// tell the agent to stop the rest, and free anything the tables
-	// expected on this node that is no longer running. A pre-v4 register
-	// carries no inventory, which is accurate, and frees everything.
+	// expected on this node that is no longer running. An empty inventory
+	// frees everything.
 	adopted, stops := c.st.adopt(name, reg.Inventory)
 	if len(reg.Inventory) > 0 {
 		m.stats = inventoryStats(reg.Inventory)
@@ -845,14 +843,14 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 		c.markDead(name, "register ack failed")
 		return
 	}
-	c.event(obs.Event{Type: obs.EventRegister, Node: name, Detail: fmt.Sprintf("proto v%d", proto)})
+	c.event(obs.Event{Type: obs.EventRegister, Node: name})
 	for _, u := range adopted {
 		c.event(obs.Event{Type: obs.EventAdopt, Unit: u, Node: name})
 	}
 	if len(adopted) > 0 || len(stops) > 0 {
-		c.logf("node %s registered (proto v%d): adopted %v, stopping %v", name, proto, adopted, stops)
+		c.logf("node %s registered: adopted %v, stopping %v", name, adopted, stops)
 	} else {
-		c.logf("node %s registered (proto v%d)", name, proto)
+		c.logf("node %s registered", name)
 	}
 	c.kickReconcile()
 	for {
@@ -1488,7 +1486,7 @@ func (c *Coordinator) pickNode(u unit, exclude string) string {
 	}
 	load := make(map[string]*NodeLoad, len(c.nodes))
 	for name, m := range c.nodes {
-		nl := &NodeLoad{Name: name, HostsNeighbor: neighbors[name], FlowTelemetry: m.proto >= 2}
+		nl := &NodeLoad{Name: name, HostsNeighbor: neighbors[name]}
 		for _, st := range m.stats {
 			nl.Lag += st.LagValue()
 			nl.QueueDepth += st.QueueDepth

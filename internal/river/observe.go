@@ -109,7 +109,6 @@ func rollupStatus(reg *obs.Registry, st *ClusterStatus) {
 		reg.Gauge(metricNodePrefix+"corrupt_batches", l...).Set(corrupt)
 		reg.Gauge(metricNodePrefix+"latency_p99_seconds", l...).Set(latP99)
 		reg.Gauge(metricNodePrefix+"e2e_latency_p99_seconds", l...).Set(e2eP99)
-		reg.Gauge(metricNodePrefix+"proto", l...).Set(float64(n.Proto))
 		reg.Gauge(metricNodePrefix+"last_beat_ms", l...).Set(float64(n.LastBeatMS))
 	}
 	for _, p := range st.Pipelines {

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,78 +22,29 @@ import (
 	"repro/internal/obs"
 )
 
-// ProtocolVersion is the control protocol revision this build speaks.
-// Version 9 rode along with the v2 batch wire framing in the data plane
-// (one frame and one hardware CRC-32C per batch — see internal/record):
-// heartbeats carry the count of corrupt batch frames a segment's ingest
-// decoders dropped (corrupt_batches), and the coordinator folds deltas
-// into typed "corruption" events, so link-level byte damage is visible
-// the moment skip-mode resync absorbs it. The data-plane framing is
-// self-identifying per frame (v1 readers were never shipped without the
-// sniffing decoder), and the new heartbeat field is an optional JSON
-// field, so v8 peers interoperate: a v8 agent simply reports no
-// corruption telemetry.
-// Version 8 added keyed stream sharding and the elastic autoscaler. A
-// segment spec may declare Shards: K, expanding into a partitioner that
-// hashes each record's stream identity to one of K parallel shard
-// instances and a collector that restores the original order with the
-// replica merger's reorder machinery. Assign messages reuse the v3 role
-// plumbing with two new roles (RolePartition, RoleCollect; shard legs are
-// placement-only like replicas), "legs" updates retarget a live
-// partitioner's shard set exactly as they retarget a splitter's, and the
-// state journal gains a "shardk" op recording the live per-group K so an
-// autoscaled topology survives coordinator restarts. Events gain an
-// "autoscale" type (triggered/scale_out/scale_in/suppressed phases)
-// emitted by the coordinator's autoscaler as it grows and shrinks K
-// against heartbeat saturation telemetry. All additions are optional
-// JSON fields and new constant values in existing fields, so v7 peers
-// interoperate on unsharded pipelines.
-// Version 7 closed the observe→act loop and added data-plane latency
-// tracing. Heartbeats carry per-segment detector alert counts and
-// unit/end-to-end latency quantiles (alerts, lat_p50_us..e2e_p99_us),
-// which the coordinator folds into the event stream ("alert" events) and
-// the monitor's metric set (e2e_latency_ms). Events gain a Phase field
-// (used by the new "remediation" type: triggered/started/completed/
-// suppressed) emitted by the coordinator's remediation policy as it
-// auto-drains anomalous nodes. All additions are optional JSON fields, so
-// v6 peers interoperate: a v6 agent's heartbeats simply carry no latency
-// telemetry, and a v6 events client ignores the phase.
-// Version 6 added the observability stream: every control-plane
-// transition (register, adopt, failover, place/replace, redirect, legs,
-// drain phases, pipeline add/remove, leg drops, gap skips, anomaly flags)
-// is appended to a bounded coordinator-side event log with monotonic
-// sequence numbers, and a new client verb ("watch_events") fetches the
-// retained backlog or follows the live stream, optionally filtered to one
-// pipeline. Heartbeats additionally carry the streamin emit-queue's
-// high-water mark (queue_peak), so transient saturation is visible even
-// when snapshots catch the queue drained.
-// Version 5 made the coordinator a multi-pipeline control plane: watch
-// subscriptions, entry notifications and drains are scoped to a pipeline
-// ID, the status snapshot reports per-pipeline topology, and two new
-// client verbs ("pipeline_add" / "pipeline_remove") add and remove whole
-// pipelines at runtime — journaled, so a restarted coordinator reloads
-// the full set.
-// Version 2 added flow-control telemetry to heartbeats (lag, queue depth,
-// batch/byte counters). Version 3 added the replication topology: assign
-// messages carry a role (splitter/merger endpoint vs ordinary segment),
-// a replica downstream list and a splitter epoch; "legs" updates a live
-// splitter's fan-out set; "drain" asks the coordinator for a planned
-// zero-repair move; heartbeats carry dedup/leg counters. Version 4 made
-// the control session detachable from the data plane: a register carries
-// the agent's hosted-unit inventory (what is actually still running from
-// a previous session) and the ack answers with the coordinator's epoch,
-// the units it adopted into its desired state, and the units the agent
-// must stop because they are no longer wanted. The protocol is
-// JSON with optional fields, so decode is backward compatible in both
-// directions: an older peer's messages simply lack the new fields (they
-// decode to zero — a v3 register carries no inventory, which is accurate,
-// since v3 agents stop their units when the session ends), and an older
-// decoder ignores fields it does not know (a v3 agent ignores a v4 ack's
-// adoption verdict, which is safe, since it had nothing to adopt).
-// Agents announce their version in the register message; the coordinator
-// records it and echoes its own in the ack, so operators can spot
-// mixed-version clusters in status output.
+// ProtocolVersion is the control protocol revision this build speaks. v9
+// carries: agent registration with a hosted-unit inventory that the
+// coordinator adopts or stops; heartbeats with per-segment flow,
+// replication, shard, detector-alert, latency and corrupt-batch
+// telemetry; role-bearing assigns (replica split/merge, shard
+// partition/collect), legs updates and boundary-deferred redirects; and
+// client verbs for status, drains, entry watches, runtime pipeline
+// add/remove and the event stream. The data plane it pairs with frames
+// records in DRV2 batches (see internal/record).
+//
+// Handshake rule: an agent's register carries Ver, and the coordinator
+// admits it only when Ver equals ProtocolVersion. Any other value, an
+// absent one included, is acked with an error, emits a
+// "register_rejected" event and creates no member; every register ack
+// carries the coordinator's Ver, and an agent that sees a different one
+// stops with ErrProtocolMismatch instead of retrying. Peers of one build
+// therefore always agree, and no message needs a compatibility decode.
 const ProtocolVersion = 9
+
+// ErrProtocolMismatch reports a register handshake between peers of
+// different protocol versions. An agent's Run returns it (wrapped) at
+// once: retrying cannot help until one side is rebuilt.
+var ErrProtocolMismatch = errors.New("river: protocol version mismatch")
 
 // Control message types. Register, heartbeat and ack flow from agents to
 // the coordinator; assign, redirect and stop flow the other way. Status
@@ -123,8 +75,7 @@ const (
 	// TypeStatus requests a ClusterStatus snapshot (client session).
 	TypeStatus = "status"
 	// TypeWatch subscribes a client to entry-address updates for the
-	// pipeline named by Pipeline (absent = the default pipeline,
-	// protocol v5; pre-v5 watchers never set it, which is the same).
+	// pipeline named by Pipeline (absent = the default pipeline).
 	TypeWatch = "watch"
 	// TypeEntry notifies a watcher that its pipeline's entry address is
 	// now Addr; Pipeline echoes which pipeline moved.
@@ -155,8 +106,8 @@ type Message struct {
 	Type string `json:"type"`
 	// ID matches a request to its ack; zero for unsolicited messages.
 	ID uint64 `json:"id,omitempty"`
-	// Ver is the sender's ProtocolVersion (register and register ack).
-	// Absent (0) means a pre-versioning v1 peer.
+	// Ver is the sender's ProtocolVersion (register and register ack); see
+	// the handshake rule on ProtocolVersion.
 	Ver int `json:"ver,omitempty"`
 	// Node names the sending agent (register, heartbeat).
 	Node string `json:"node,omitempty"`
@@ -196,10 +147,9 @@ type Message struct {
 	Segments []SegmentStatus `json:"segments,omitempty"`
 	// Status carries the cluster snapshot (status ack).
 	Status *ClusterStatus `json:"status,omitempty"`
-	// Inventory is the agent's hosted-unit inventory (register, protocol
-	// v4): the units still running from a previous control session, so the
-	// coordinator can adopt them instead of re-placing. Absent from
-	// pre-v4 agents, which stop their units when the session ends.
+	// Inventory is the agent's hosted-unit inventory (register): the
+	// units still running from a previous control session, so the
+	// coordinator can adopt them instead of re-placing.
 	Inventory []UnitInventory `json:"inventory,omitempty"`
 	// CoordEpoch is the coordinator's incarnation (register ack, protocol
 	// v4); it advances every time the coordinator restarts from its
@@ -208,12 +158,11 @@ type Message struct {
 	// Pipeline scopes a message to one pipeline (protocol v5): the watch
 	// subscription and entry notifications, a pipeline_remove target, and
 	// optionally a drain (a drain's Seg may instead carry the scoped unit
-	// name directly). Absent means the default pipeline, which is the only
-	// pipeline pre-v5 peers know.
+	// name directly). Absent means the default pipeline.
 	Pipeline string `json:"pipeline,omitempty"`
 	// Spec is a pipeline_add's full pipeline description (protocol v5).
 	Spec *PipelineSpec `json:"spec,omitempty"`
-	// Adopted and StopUnits answer a v4 register's inventory: the units
+	// Adopted and StopUnits answer a register's inventory: the units
 	// the coordinator accepted into its desired state as-is, and the
 	// units the agent must stop because they are no longer wanted (stale
 	// placements, spec changes, or units re-placed elsewhere while the
@@ -267,7 +216,7 @@ type SegmentStatus struct {
 	BadCloses uint64 `json:"bad_closes"`
 	// Flow-control telemetry (protocol v2): the streamin emit-queue
 	// backlog against its bound, and what the segment's streamout has
-	// flushed. v1 heartbeats leave these zero. Lag is not carried — it is
+	// flushed. Lag is not carried — it is
 	// derived from the authoritative Processed/Emitted counters wherever
 	// it is consumed (see SegmentStatus.LagValue), so placement and
 	// display can never disagree.
@@ -299,13 +248,12 @@ type SegmentStatus struct {
 	// latency fields are quantile snapshots, in microseconds, of the
 	// segment's ingress-to-sink latency histogram (LatP*) and — on sink
 	// segments that see trace probes — the origin-to-sink end-to-end
-	// latency (E2eP*). v6 heartbeats leave all of these zero.
+	// latency (E2eP*).
 	Alerts uint64 `json:"alerts,omitempty"`
 	// Corrupt counts corrupt batch frames the segment's ingest decoders
-	// dropped whole (protocol v9): bad batch CRCs on the v2 wire framing,
-	// each losing exactly one batch before the stream re-synced. The
-	// coordinator folds deltas into "corruption" events. Pre-v9
-	// heartbeats leave it zero.
+	// dropped whole (protocol v9): bad batch CRCs on the DRV2 wire
+	// framing, each losing exactly one batch before the stream re-synced.
+	// The coordinator folds deltas into "corruption" events.
 	Corrupt  uint64 `json:"corrupt_batches,omitempty"`
 	LatP50Us uint64 `json:"lat_p50_us,omitempty"`
 	LatP95Us uint64 `json:"lat_p95_us,omitempty"`
@@ -351,9 +299,6 @@ type NodeStatus struct {
 	// LastBeatMS is the age of the most recent heartbeat in milliseconds.
 	LastBeatMS int64           `json:"last_beat_ms"`
 	Segments   []SegmentStatus `json:"segments,omitempty"`
-	// Proto is the protocol version the agent registered with (1 for
-	// pre-versioning agents, which report no flow telemetry).
-	Proto int `json:"proto,omitempty"`
 }
 
 // PlacementStatus describes where one placement unit currently runs. A

@@ -85,10 +85,10 @@ func TestReplicatedSegmentFailover(t *testing.T) {
 	}()
 
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "relay", Type: "relay", Replicas: 3}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		// Node death in this test is a dropped control connection
 		// (immediate); a generous timeout keeps loaded CI machines from

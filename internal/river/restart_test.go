@@ -16,13 +16,13 @@ import (
 func restartConfig(t *testing.T, listen, sinkAddr, stateDir string) Config {
 	return Config{
 		ListenAddr: listen,
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{
 				{Name: "rep", Type: "relay", Replicas: 3},
 				{Name: "tail", Type: "relay"},
 			},
 			SinkAddr: sinkAddr,
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		// Node death in this test is a dropped control connection
 		// (immediate); a generous timeout keeps loaded CI machines from
@@ -325,10 +325,10 @@ func TestAgentStartsBeforeCoordinator(t *testing.T) {
 	time.Sleep(150 * time.Millisecond) // let several dials fail
 	coord, err := NewCoordinator(Config{
 		ListenAddr: addr,
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "relay"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		Logf:              t.Logf,

@@ -47,10 +47,10 @@ func TestShardedSegmentAutoscaleAndFailover(t *testing.T) {
 	}()
 
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "work", Type: "gated", Shards: 2}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		MinNodes:          5,

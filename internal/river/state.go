@@ -832,9 +832,8 @@ func (s *state) close() {
 // assigned, so an agent hosting units of several pipelines has each
 // matched against its own pipeline's tables. Units the tables place on
 // this node but absent from the inventory died with the agent process
-// and are freed for re-placement. Pre-v4 agents report no inventory,
-// which is accurate (they stop their units when a control session ends),
-// so everything recorded against them is freed.
+// and are freed for re-placement; an empty inventory frees everything
+// recorded against the node.
 func (s *state) adopt(node string, inv []UnitInventory) (adopted, stops []string) {
 	seen := make(map[string]bool, len(inv))
 	for _, iu := range inv {

