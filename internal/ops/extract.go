@@ -71,9 +71,10 @@ func (c ExtractConfig) withDefaults() ExtractConfig {
 // detector and smoother reset at clip boundaries so clips are independent,
 // matching the per-clip processing of the paper.
 type SAXAnomaly struct {
-	cfg ExtractConfig
 	det *timeseries.AnomalyDetector
 	ma  *timeseries.MovingAverage
+
+	samples, scores []float64 // decode and score scratch
 }
 
 // NewSAXAnomaly returns the operator with the given configuration.
@@ -87,7 +88,7 @@ func NewSAXAnomaly(cfg ExtractConfig) (*SAXAnomaly, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SAXAnomaly{cfg: cfg, det: det, ma: ma}, nil
+	return &SAXAnomaly{det: det, ma: ma}, nil
 }
 
 // Name implements pipeline.Operator.
@@ -97,38 +98,32 @@ func (o *SAXAnomaly) Name() string { return "saxanomaly" }
 func (o *SAXAnomaly) Process(r *record.Record, out pipeline.Emitter) error {
 	switch {
 	case r.Kind == record.KindOpenScope && r.ScopeType == record.ScopeClip:
-		o.reset()
+		o.det.Reset()
+		o.ma.Reset()
 		return out.Emit(r)
 	case r.Kind != record.KindData || r.Subtype != record.SubtypeAudio:
 		return out.Emit(r)
 	}
-	samples, err := r.Float64s()
+	samples, err := r.AppendFloat64s(o.samples[:0])
 	if err != nil {
 		return fmt.Errorf("saxanomaly: %w", err)
 	}
-	scores := make([]float64, len(samples))
-	for i, x := range samples {
+	o.samples = samples
+	scores := o.scores[:0]
+	for _, x := range samples {
 		raw, _ := o.det.Push(x)
-		scores[i] = o.ma.Push(raw)
+		scores = append(scores, o.ma.Push(raw))
 	}
+	o.scores = scores
+	// Build the score record before handing r on: Emit transfers
+	// ownership, and a downstream cutter releases r before Emit returns.
+	sr := pooledRecord(record.KindData, record.SubtypeAnomaly, r.Scope, r.ScopeType)
+	sr.SetFloat64s(scores)
 	if err := out.Emit(r); err != nil {
+		record.Release(sr)
 		return err
 	}
-	sr := record.NewData(record.SubtypeAnomaly)
-	sr.Scope = r.Scope
-	sr.ScopeType = r.ScopeType
-	sr.SetFloat64s(scores)
 	return out.Emit(sr)
-}
-
-func (o *SAXAnomaly) reset() {
-	det, err := timeseries.NewAnomalyDetector(o.cfg.Anomaly)
-	if err != nil {
-		// Config was validated at construction.
-		panic("saxanomaly: " + err.Error())
-	}
-	o.det = det
-	o.ma.Reset()
 }
 
 // Trigger converts the smoothed anomaly score into a discrete 0/1 signal.
@@ -149,6 +144,8 @@ type Trigger struct {
 	skipped  int
 	hang     int
 	quiet    *timeseries.EWStats
+
+	scores, trig []float64 // decode and output scratch
 }
 
 // NewTrigger returns a trigger with the paper's 5-sigma threshold when
@@ -185,11 +182,14 @@ func (o *Trigger) Process(r *record.Record, out pipeline.Emitter) error {
 	case r.Kind != record.KindData || r.Subtype != record.SubtypeAnomaly:
 		return out.Emit(r)
 	}
-	scores, err := r.Float64s()
+	scores, err := r.AppendFloat64s(o.scores[:0])
 	if err != nil {
 		return fmt.Errorf("trigger: %w", err)
 	}
-	trig := make([]float64, len(scores))
+	o.scores = scores
+	// Trigger values default to 0; the loop arms samples to 1.
+	trig := append(o.trig[:0], make([]float64, len(scores))...)
+	o.trig = trig
 	for i, s := range scores {
 		// The first scores of a clip are artifacts: exact zeros while the
 		// detector warms, then a ramp while the moving average fills.
@@ -237,10 +237,9 @@ func (o *Trigger) Process(r *record.Record, out pipeline.Emitter) error {
 			o.quiet.Add(s)
 		}
 	}
-	tr := record.NewData(record.SubtypeTrigger)
-	tr.Scope = r.Scope
-	tr.ScopeType = r.ScopeType
+	tr := pooledRecord(record.KindData, record.SubtypeTrigger, r.Scope, r.ScopeType)
 	tr.SetFloat64s(trig)
+	record.Release(r) // the score record ends here
 	return out.Emit(tr)
 }
 
@@ -255,6 +254,8 @@ type Cutter struct {
 	sampleRate float64
 	clipCtx    map[string]string
 	pendAudio  []float64 // audio waiting for its trigger record
+	trig       []float64 // trigger decode scratch
+	pad        []float64 // zero-padded final record of an ensemble
 	absPos     int       // absolute sample position within the clip
 
 	inEnsemble bool
@@ -292,7 +293,9 @@ func (o *Cutter) Reduction() float64 {
 	return 1 - float64(o.samplesKept)/float64(o.samplesIn)
 }
 
-// Process implements pipeline.Operator.
+// Process implements pipeline.Operator. The cutter is the final owner of
+// the audio and trigger records it consumes and releases them (see
+// record.GetRecord); every record it emits is a fresh pool-backed one.
 func (o *Cutter) Process(r *record.Record, out pipeline.Emitter) error {
 	switch {
 	case r.Kind == record.KindOpenScope && r.ScopeType == record.ScopeClip:
@@ -309,26 +312,30 @@ func (o *Cutter) Process(r *record.Record, out pipeline.Emitter) error {
 		if err := o.closeEnsemble(out); err != nil {
 			return err
 		}
-		o.pendAudio = nil
+		o.pendAudio = o.pendAudio[:0]
 		return out.Emit(r)
 	case r.Kind == record.KindData && r.Subtype == record.SubtypeAudio:
-		samples, err := r.Float64s()
+		pend, err := r.AppendFloat64s(o.pendAudio)
 		if err != nil {
 			return fmt.Errorf("cutter: %w", err)
 		}
-		o.pendAudio = append(o.pendAudio, samples...)
+		o.pendAudio = pend
+		record.Release(r)
 		return nil // audio is withheld until its trigger arrives
 	case r.Kind == record.KindData && r.Subtype == record.SubtypeTrigger:
-		trig, err := r.Float64s()
+		trig, err := r.AppendFloat64s(o.trig[:0])
 		if err != nil {
 			return fmt.Errorf("cutter: %w", err)
 		}
+		o.trig = trig
 		if len(trig) > len(o.pendAudio) {
 			return fmt.Errorf("cutter: trigger record of %d values but only %d audio samples pending", len(trig), len(o.pendAudio))
 		}
-		audio := o.pendAudio[:len(trig)]
-		o.pendAudio = o.pendAudio[len(trig):]
-		return o.consume(audio, trig, out)
+		record.Release(r)
+		err = o.consume(o.pendAudio[:len(trig)], trig, out)
+		// Slide the audio still waiting for its trigger to the front.
+		o.pendAudio = o.pendAudio[:copy(o.pendAudio, o.pendAudio[len(trig):])]
+		return err
 	default:
 		return out.Emit(r)
 	}
@@ -367,6 +374,34 @@ func (o *Cutter) closeEnsemble(out pipeline.Emitter) error {
 	if records < o.cfg.MinEnsembleRecords {
 		return nil // too short; discard
 	}
+	if err := out.Emit(o.openEnsemble()); err != nil {
+		return err
+	}
+	for start := 0; start < len(o.ensemble); start += RecordSamples {
+		payload := o.ensemble[start:min(start+RecordSamples, len(o.ensemble))]
+		kept := len(payload)
+		if kept < RecordSamples {
+			// Zero-pad the final partial record: downstream spectral
+			// operators need uniform record lengths to produce
+			// fixed-dimensional patterns.
+			o.pad = append(append(o.pad[:0], payload...), make([]float64, RecordSamples-kept)...)
+			payload = o.pad
+		}
+		r := pooledRecord(record.KindData, record.SubtypeAudio, 2, record.ScopeEnsemble)
+		r.SetFloat64s(payload)
+		if err := out.Emit(r); err != nil {
+			return err
+		}
+		o.samplesKept += uint64(kept)
+	}
+	o.ensembles++
+	return out.Emit(pooledRecord(record.KindCloseScope, 0, 1, record.ScopeEnsemble))
+}
+
+// openEnsemble returns the record opening the in-progress ensemble, its
+// context naming the sample rate, start time and species. The context
+// map and its encoding are the cutter's only per-ensemble allocations.
+func (o *Cutter) openEnsemble() *record.Record {
 	ctx := map[string]string{}
 	if o.sampleRate > 0 {
 		ctx[record.CtxSampleRate] = strconv.FormatFloat(o.sampleRate, 'f', -1, 64)
@@ -375,39 +410,27 @@ func (o *Cutter) closeEnsemble(out pipeline.Emitter) error {
 	if sp := o.clipCtx[record.CtxSpecies]; sp != "" {
 		ctx[record.CtxSpecies] = sp
 	}
-	open := record.NewOpenScope(record.ScopeEnsemble, 1)
+	open := pooledRecord(record.KindOpenScope, 0, 1, record.ScopeEnsemble)
 	open.SetContext(ctx)
-	if err := out.Emit(open); err != nil {
-		return err
-	}
-	for start := 0; start < len(o.ensemble); start += RecordSamples {
-		end := start + RecordSamples
-		payload := make([]float64, RecordSamples)
-		if end > len(o.ensemble) {
-			// Zero-pad the final partial record: downstream spectral
-			// operators need uniform record lengths to produce
-			// fixed-dimensional patterns.
-			end = len(o.ensemble)
-		}
-		copy(payload, o.ensemble[start:end])
-		r := record.NewData(record.SubtypeAudio)
-		r.Scope = 2
-		r.ScopeType = record.ScopeEnsemble
-		r.SetFloat64s(payload)
-		if err := out.Emit(r); err != nil {
-			return err
-		}
-		o.samplesKept += uint64(end - start)
-	}
-	o.ensembles++
-	return out.Emit(record.NewCloseScope(record.ScopeEnsemble, 1))
+	return open
 }
 
 func (o *Cutter) resetClip() {
 	o.sampleRate = 0
 	o.clipCtx = nil
-	o.pendAudio = nil
+	o.pendAudio = o.pendAudio[:0]
 	o.absPos = 0
 	o.inEnsemble = false
-	o.ensemble = nil
+	o.ensemble = o.ensemble[:0]
+}
+
+// pooledRecord returns a pool-backed record with the given header and no
+// payload (see record.GetRecord for the ownership contract).
+func pooledRecord(kind record.Kind, subtype, scope uint16, st record.ScopeType) *record.Record {
+	r := record.GetRecord()
+	r.Kind = kind
+	r.Subtype = subtype
+	r.Scope = scope
+	r.ScopeType = st
+	return r
 }

@@ -45,11 +45,7 @@ func (o *Reslice) Process(r *record.Record, out pipeline.Emitter) error {
 		half := len(cur) / 2
 		o.overlap = append(o.overlap[:0], o.prev[len(o.prev)-half:]...)
 		o.overlap = append(o.overlap, cur[:len(cur)-half]...)
-		or := record.GetRecord()
-		or.Kind = record.KindData
-		or.Subtype = record.SubtypeAudio
-		or.Scope = r.Scope
-		or.ScopeType = r.ScopeType
+		or := pooledRecord(record.KindData, record.SubtypeAudio, r.Scope, r.ScopeType)
 		or.SetFloat64s(o.overlap)
 		if err := out.Emit(or); err != nil {
 			return err
@@ -344,11 +340,7 @@ func (o *Rec2Vect) Process(r *record.Record, out pipeline.Emitter) error {
 	if o.have < o.MergeCount {
 		return nil
 	}
-	p := record.GetRecord()
-	p.Kind = record.KindData
-	p.Subtype = record.SubtypePattern
-	p.Scope = r.Scope
-	p.ScopeType = r.ScopeType
+	p := pooledRecord(record.KindData, record.SubtypePattern, r.Scope, r.ScopeType)
 	p.SetFloat64s(o.buf)
 	o.buf = o.buf[:0]
 	o.have = 0

@@ -17,7 +17,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Kind discriminates the structural role of a record in the stream.
@@ -371,9 +370,10 @@ func (r *Record) SetBytes(b []byte) {
 	copy(r.ensurePayload(len(b)), b)
 }
 
-// SetContext encodes a key/value string map as the payload. OpenScope
-// records use context payloads to carry information such as the sampling
-// rate of a clip. Keys are sorted so encoding is deterministic.
+// SetContext encodes a key/value string map as the payload, reusing
+// existing payload capacity when it suffices. OpenScope records use
+// context payloads to carry information such as the sampling rate of a
+// clip. Keys are sorted so encoding is deterministic.
 func (r *Record) SetContext(ctx map[string]string) {
 	r.PayloadType = PayloadContext
 	keys := make([]string, 0, len(ctx))
@@ -381,17 +381,17 @@ func (r *Record) SetContext(ctx map[string]string) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var sb strings.Builder
+	p := r.Payload[:0]
 	for _, k := range keys {
 		v := ctx[k]
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
-		sb.WriteString(strconv.Itoa(len(v)))
-		sb.WriteByte(':')
-		sb.WriteString(v)
+		p = strconv.AppendInt(p, int64(len(k)), 10)
+		p = append(p, ':')
+		p = append(p, k...)
+		p = strconv.AppendInt(p, int64(len(v)), 10)
+		p = append(p, ':')
+		p = append(p, v...)
 	}
-	r.Payload = []byte(sb.String())
+	r.Payload = p
 }
 
 // Context decodes a context payload into a map.

@@ -177,47 +177,57 @@ func TestTwoPipelinesFailoverIsolatedAndRestart(t *testing.T) {
 		return da >= 1 && db >= 1
 	})
 
-	// Pick the victim: the node hosting pa's entry segment and nothing of
-	// pb (LeastLoaded's deterministic tie-break spreads 2+2 units over 3
-	// nodes so such a node exists; the assertions below re-check).
-	var victim string
-	for unitName, where := range placementMap(coord, "pa") {
-		if unitName == "pa:front" {
-			victim = where[:strings.IndexByte(where, '@')]
+	// Pick the victim from the live layout: a node hosting one pipeline's
+	// entry segment ("hit") and nothing of the other ("calm"). Which
+	// pipeline the placer serves first varies from run to run, but
+	// LeastLoaded spreads 2+2 units over 3 nodes so that the first-placed
+	// pipeline's entry always sits alone on its node.
+	watches := map[string]*watchLog{"pa": watchA, "pb": watchB}
+	var victim, hit, calm string
+	for _, pair := range [][2]string{{"pa", "pb"}, {"pb", "pa"}} {
+		where := placementMap(coord, pair[0])[pair[0]+":front"]
+		if where == "" {
+			t.Fatalf("%s:front unplaced: %+v", pair[0], coord.Status().Pipelines)
+		}
+		node := where[:strings.IndexByte(where, '@')]
+		shared := false
+		for _, w := range placementMap(coord, pair[1]) {
+			shared = shared || strings.HasPrefix(w, node+"@")
+		}
+		if !shared {
+			victim, hit, calm = node, pair[0], pair[1]
+			break
 		}
 	}
 	if victim == "" {
-		t.Fatalf("pa:front unplaced: %+v", coord.Status().Pipelines)
+		t.Fatalf("layout premise broken: every entry node also hosts the other pipeline: pa=%v pb=%v",
+			placementMap(coord, "pa"), placementMap(coord, "pb"))
 	}
-	for unitName, where := range placementMap(coord, "pb") {
-		if strings.HasPrefix(where, victim+"@") {
-			t.Fatalf("layout premise broken: %s also hosts %s: pa=%v pb=%v",
-				victim, unitName, placementMap(coord, "pa"), placementMap(coord, "pb"))
-		}
-	}
-	pbBefore := placementMap(coord, "pb")
-	pbWatchBefore := len(seen(watchB))
+	t.Logf("victim %s hosts %s:front and nothing of %s", victim, hit, calm)
+	calmBefore := placementMap(coord, calm)
+	calmWatchBefore := len(seen(watches[calm]))
 
 	agents[victim].cancel()
 	<-agents[victim].done
 	delete(agents, victim)
 
-	waitFor(t, 10*time.Second, "pa:front re-placed off the dead node", func() bool {
-		pa := placementMap(coord, "pa")
-		return pa["pa:front"] != "" && !strings.HasPrefix(pa["pa:front"], victim+"@")
+	waitFor(t, 10*time.Second, hit+":front re-placed off the dead node", func() bool {
+		where := placementMap(coord, hit)[hit+":front"]
+		return where != "" && !strings.HasPrefix(where, victim+"@")
 	})
-	// Isolation: pb's placements did not move, and its watcher saw no new
-	// entry; pa's watcher saw the failover.
-	if after := placementMap(coord, "pb"); fmt.Sprint(after) != fmt.Sprint(pbBefore) {
-		t.Errorf("pb placements disturbed by pa's node death: %v -> %v", pbBefore, after)
+	// Isolation: the calm pipeline's placements did not move, and its
+	// watcher saw no new entry; the hit pipeline's watcher saw the
+	// failover.
+	if after := placementMap(coord, calm); fmt.Sprint(after) != fmt.Sprint(calmBefore) {
+		t.Errorf("%s placements disturbed by %s's node death: %v -> %v", calm, hit, calmBefore, after)
 	}
-	waitFor(t, 5*time.Second, "pa watcher saw the new entry", func() bool {
-		es := seen(watchA)
-		return len(es) >= 2 && es[len(es)-1] == coord.PipelineEntryAddr("pa")
+	waitFor(t, 5*time.Second, hit+" watcher saw the new entry", func() bool {
+		es := seen(watches[hit])
+		return len(es) >= 2 && es[len(es)-1] == coord.PipelineEntryAddr(hit)
 	})
-	if got := len(seen(watchB)); got != pbWatchBefore {
-		t.Errorf("pb watcher saw %d extra entry update(s) from pa's failover: %v",
-			got-pbWatchBefore, seen(watchB))
+	if got := len(seen(watches[calm])); got != calmWatchBefore {
+		t.Errorf("%s watcher saw %d extra entry update(s) from %s's failover: %v",
+			calm, got-calmWatchBefore, hit, seen(watches[calm]))
 	}
 
 	// Both pipelines carry traffic again.
@@ -237,7 +247,7 @@ func TestTwoPipelinesFailoverIsolatedAndRestart(t *testing.T) {
 	// back placed exactly where they were (adoption, zero moves) and no
 	// scope repairs may reach either sink.
 	paBefore := placementMap(coord, "pa")
-	pbBefore = placementMap(coord, "pb")
+	pbBefore := placementMap(coord, "pb")
 	entryA, entryB := coord.PipelineEntryAddr("pa"), coord.PipelineEntryAddr("pb")
 	_, badABefore := sinkA.counts()
 	_, badBBefore := sinkB.counts()

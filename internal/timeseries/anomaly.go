@@ -56,10 +56,15 @@ func (c *AnomalyConfig) validate() error {
 // the onset of a bird vocalization over steady ambient noise — drives the
 // two bitmaps apart.
 //
-// Both bitmaps are maintained incrementally, so Push costs O(a^g) for the
-// distance computation and O(g) for window maintenance, independent of the
-// window size. A single scan of the time series therefore suffices, which
-// is what makes ensemble extraction viable on unbounded streams.
+// Both bitmaps and the distance between them are maintained
+// incrementally. Once warm, each window holds exactly W-g+1 grams, so the
+// distance is sqrt(ssd)/(W-g+1), where ssd = Σ(lead[c]-lag[c])² is an
+// integer. A push changes at most four cells by ±1 each, and each change
+// moves ssd by an exact integer, so ssd never drifts and needs no periodic
+// recompute. The ring stores each gram's cell index rather than its
+// symbols, so Push costs O(1) whatever the window size, alphabet and gram
+// length. A single scan of the time series therefore suffices, which is
+// what makes ensemble extraction viable on unbounded streams.
 //
 // AnomalyDetector is not safe for concurrent use.
 type AnomalyDetector struct {
@@ -68,13 +73,19 @@ type AnomalyDetector struct {
 	lag  *Bitmap
 	lead *Bitmap
 
-	// ring holds the last 2W+1 symbols so the gram departing the lag
-	// window (whose oldest symbol has age 2W) is still addressable.
+	// ring holds the cell indices of the last 2W+1 grams, indexed by the
+	// age of each gram's newest symbol, so the gram departing the lag
+	// window (age 2W-g+1) is still addressable. The first g-1 grams after
+	// a reset are partial; no window ever counts them.
 	ring []int
 	head int // next write position
+	gram int // cell index of the newest gram
 	seen uint64
 
-	buf  []int // gram scratch, len = cfg.Gram
+	// ssd is Σ(lead[c]-lag[c])² over all cells, exact once warm.
+	ssd   int
+	grams float64 // grams per window: W-g+1
+
 	norm Welford
 }
 
@@ -93,12 +104,12 @@ func NewAnomalyDetector(cfg AnomalyConfig) (*AnomalyDetector, error) {
 	}
 	lead, _ := NewBitmap(cfg.Alphabet, cfg.Gram)
 	return &AnomalyDetector{
-		cfg:  cfg,
-		sax:  sax,
-		lag:  lag,
-		lead: lead,
-		ring: make([]int, 2*cfg.Window+1),
-		buf:  make([]int, cfg.Gram),
+		cfg:   cfg,
+		sax:   sax,
+		lag:   lag,
+		lead:  lead,
+		ring:  make([]int, 2*cfg.Window+1),
+		grams: float64(cfg.Window - cfg.Gram + 1),
 	}, nil
 }
 
@@ -109,24 +120,29 @@ func (d *AnomalyDetector) Config() AnomalyConfig { return d.cfg }
 // produce scores.
 func (d *AnomalyDetector) Warm() bool { return d.seen >= uint64(2*d.cfg.Window) }
 
-// symbolAt returns the symbol at logical age i: age 0 is the newest
-// symbol, age 1 the one before it, and so on. Valid for age < min(seen,
-// len(ring)).
-func (d *AnomalyDetector) symbolAt(age int) int {
-	n := len(d.ring)
-	idx := d.head - 1 - age
-	idx = ((idx % n) + n) % n
-	return d.ring[idx]
+// Reset returns the detector to its just-constructed state, reusing its
+// storage.
+func (d *AnomalyDetector) Reset() {
+	d.head, d.gram, d.seen, d.ssd = 0, 0, 0, 0
+	d.norm.Reset()
 }
 
-// gramAt fills d.buf with the gram whose newest symbol has the given age:
-// buf[g-1] is the symbol at age, buf[0] the symbol at age+g-1.
-func (d *AnomalyDetector) gramAt(age int) []int {
-	g := d.cfg.Gram
-	for k := 0; k < g; k++ {
-		d.buf[g-1-k] = d.symbolAt(age + k)
+// gramAt returns the cell index of the gram whose newest symbol has the
+// given age: age 0 is the newest gram, age 1 the one before it, and so
+// on. Valid for age < min(seen, len(ring)).
+func (d *AnomalyDetector) gramAt(age int) int {
+	i := d.head - 1 - age
+	if i < 0 {
+		i += len(d.ring)
 	}
-	return d.buf
+	return d.ring[i]
+}
+
+// step accounts for the lead-minus-lag difference of cell c moving by s
+// (±1) in ssd: (diff+s)² - diff² = 2·s·diff + 1. It must run before the
+// count changes.
+func (d *AnomalyDetector) step(c, s int) {
+	d.ssd += 2*s*(d.lead.counts[c]-d.lag.counts[c]) + 1
 }
 
 // Push feeds one sample and returns the current anomaly score. ok is false
@@ -143,13 +159,20 @@ func (d *AnomalyDetector) Push(x float64) (score float64, ok bool) {
 	if sigma >= zNormEps {
 		z = (x - d.norm.Mean()) / sigma
 	}
+	// The newest gram's cell index is the previous one shifted up by one
+	// symbol, its oldest symbol dropped, plus the new symbol.
 	sym := d.sax.Symbol(z)
-
-	w, g := d.cfg.Window, d.cfg.Gram
+	if d.cfg.Gram > 1 {
+		sym += d.gram * d.cfg.Alphabet % len(d.lag.counts)
+	}
+	d.gram = sym
 	d.ring[d.head] = sym
-	d.head = (d.head + 1) % len(d.ring)
+	if d.head++; d.head == len(d.ring) {
+		d.head = 0
+	}
 	d.seen++
 
+	w, g := d.cfg.Window, d.cfg.Gram
 	switch {
 	case d.seen < uint64(2*w):
 		return 0, false
@@ -160,29 +183,38 @@ func (d *AnomalyDetector) Push(x float64) (score float64, ok bool) {
 		// newest symbol (age 0), the lead window covers ages [0, W-1] and
 		// contains grams at ages [0, W-g]; the lag window covers
 		// [W, 2W-1] with grams at ages [W, 2W-g].
-		d.lead.Inc(d.gramAt(0))         // entered lead
-		d.lead.Dec(d.gramAt(w - g + 1)) // left lead
-		d.lag.Inc(d.gramAt(w))          // entered lag
-		d.lag.Dec(d.gramAt(2*w - g + 1) /* left lag */)
+		c := d.gramAt(0) // entered lead
+		d.step(c, 1)
+		d.lead.inc(c)
+		c = d.gramAt(w - g + 1) // left lead
+		d.step(c, -1)
+		d.lead.dec(c)
+		c = d.gramAt(w) // entered lag
+		d.step(c, -1)
+		d.lag.inc(c)
+		c = d.gramAt(2*w - g + 1) // left lag
+		d.step(c, 1)
+		d.lag.dec(c)
 	}
-	s, err := BitmapDistance(d.lag, d.lead)
-	if err != nil {
-		// Shapes are fixed at construction; this cannot happen.
-		panic("timeseries: AnomalyDetector: " + err.Error())
-	}
-	return s, true
+	return math.Sqrt(float64(d.ssd)) / d.grams, true
 }
 
-// rebuild recomputes both bitmaps from the ring at first full occupancy.
+// rebuild recomputes both bitmaps and ssd from the ring at first full
+// occupancy.
 func (d *AnomalyDetector) rebuild() {
 	w, g := d.cfg.Window, d.cfg.Gram
 	d.lag.Reset()
 	d.lead.Reset()
 	for a := 0; a+g <= w; a++ {
-		d.lead.Inc(d.gramAt(a))
+		d.lead.inc(d.gramAt(a))
 	}
 	for a := w; a+g <= 2*w; a++ {
-		d.lag.Inc(d.gramAt(a))
+		d.lag.inc(d.gramAt(a))
+	}
+	d.ssd = 0
+	for c, n := range d.lead.counts {
+		diff := n - d.lag.counts[c]
+		d.ssd += diff * diff
 	}
 }
 

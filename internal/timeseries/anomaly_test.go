@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,12 +30,14 @@ func referenceScores(series []float64, cfg AnomalyConfig) []float64 {
 	}
 	w, g := cfg.Window, cfg.Gram
 	out := make([]float64, len(series))
+	lead, _ := NewBitmap(cfg.Alphabet, g)
+	lag, _ := NewBitmap(cfg.Alphabet, g)
 	for t := range series {
 		if t+1 < 2*w {
 			continue
 		}
-		lead, _ := NewBitmap(cfg.Alphabet, g)
-		lag, _ := NewBitmap(cfg.Alphabet, g)
+		lead.Reset()
+		lag.Reset()
 		lead.AddWord(symbols[t+1-w : t+1])
 		lag.AddWord(symbols[t+1-2*w : t+1-w])
 		d, _ := BitmapDistance(lag, lead)
@@ -66,9 +69,104 @@ func TestAnomalyDetectorMatchesReference(t *testing.T) {
 		}
 		want := referenceScores(series, cfg)
 		for i := range want {
-			if !almostEqual(got[i], want[i], 1e-9) {
+			if !almostEqual(got[i], want[i], 1e-12) {
 				t.Fatalf("cfg %+v: score[%d] = %v, reference %v", cfg, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// hostileStream returns n samples mixing the signals a field recorder
+// produces: noise at varying scales, tonal events, level shifts, flat
+// stretches (a saturated or muted input) and bursts of NaN and ±Inf.
+func hostileStream(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, 0, n)
+	scale, level := 1.0, 0.0
+	for len(out) < n {
+		run := 1 + rng.Intn(400)
+		switch k := rng.Intn(10); {
+		case k == 0: // flat stretch
+			v := level + rng.NormFloat64()*scale
+			for i := 0; i < run; i++ {
+				out = append(out, v)
+			}
+		case k == 1: // corrupt burst
+			bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+			for i := 0; i < 1+run%20; i++ {
+				out = append(out, bad[rng.Intn(len(bad))])
+			}
+		case k == 2: // tonal event
+			f := 0.05 + rng.Float64()
+			for i := 0; i < run; i++ {
+				out = append(out, level+4*scale*math.Sin(f*float64(i))+rng.NormFloat64()*scale)
+			}
+		case k == 3: // level or scale shift
+			level += rng.NormFloat64() * 5
+			scale = math.Pow(10, float64(rng.Intn(5)-2))
+		default: // noise
+			for i := 0; i < run; i++ {
+				out = append(out, level+rng.NormFloat64()*scale)
+			}
+		}
+	}
+	return out[:n]
+}
+
+// TestAnomalyDetectorLongStreamExact runs the detector over long hostile
+// streams for gram lengths 1-3 and alphabets 3-16 and compares every
+// score with the from-scratch reference. The incremental distance is
+// kept in integers, so it must not drift: scores agree to 1e-12 at the
+// end of the stream as at its start, and ok flips exactly at warm-up.
+func TestAnomalyDetectorLongStreamExact(t *testing.T) {
+	const n = 200_000
+	cfgs := []AnomalyConfig{
+		{Alphabet: 3, Window: 12, Gram: 3},
+		{Alphabet: 4, Window: 9, Gram: 3},
+		{Alphabet: 5, Window: 20, Gram: 2},
+		{Alphabet: 6, Window: 16, Gram: 3},
+		{Alphabet: 8, Window: 25, Gram: 1},
+		{Alphabet: 8, Window: 100, Gram: 1},
+		{Alphabet: 16, Window: 30, Gram: 2},
+		{Alphabet: 16, Window: 40, Gram: 1},
+	}
+	for ci, cfg := range cfgs {
+		t.Run(fmt.Sprintf("a%d-w%d-g%d", cfg.Alphabet, cfg.Window, cfg.Gram), func(t *testing.T) {
+			t.Parallel()
+			series := hostileStream(rand.New(rand.NewSource(int64(100+ci))), n)
+			want := referenceScores(series, cfg)
+			d, err := NewAnomalyDetector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range series {
+				got, ok := d.Push(x)
+				if wantOK := i+1 >= 2*cfg.Window; ok != wantOK {
+					t.Fatalf("sample %d: ok = %v, want %v", i, ok, wantOK)
+				}
+				if math.Abs(got-want[i]) > 1e-12 {
+					t.Fatalf("score[%d] = %v, reference %v", i, got, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestAnomalyDetectorReset pins that a reset detector scores a stream
+// exactly as a fresh one does.
+func TestAnomalyDetectorReset(t *testing.T) {
+	cfg := AnomalyConfig{Alphabet: 5, Window: 20, Gram: 2}
+	rng := rand.New(rand.NewSource(4))
+	used, _ := NewAnomalyDetector(cfg)
+	for _, x := range hostileStream(rng, 1000) {
+		used.Push(x)
+	}
+	used.Reset()
+	fresh, _ := NewAnomalyDetector(cfg)
+	for i, x := range hostileStream(rng, 2000) {
+		a, okA := used.Push(x)
+		b, okB := fresh.Push(x)
+		if a != b || okA != okB {
+			t.Fatalf("sample %d: reset detector (%v, %v), fresh (%v, %v)", i, a, okA, b, okB)
 		}
 	}
 }

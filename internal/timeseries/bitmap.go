@@ -67,7 +67,12 @@ func (b *Bitmap) Inc(gram []int) {
 	if len(gram) != b.gram {
 		panic(fmt.Sprintf("timeseries: Bitmap.Inc: gram length %d, want %d", len(gram), b.gram))
 	}
-	b.counts[b.index(gram)]++
+	b.inc(b.index(gram))
+}
+
+// inc counts one occurrence of the gram whose cell index is i.
+func (b *Bitmap) inc(i int) {
+	b.counts[i]++
 	b.total++
 }
 
@@ -77,7 +82,12 @@ func (b *Bitmap) Dec(gram []int) {
 	if len(gram) != b.gram {
 		panic(fmt.Sprintf("timeseries: Bitmap.Dec: gram length %d, want %d", len(gram), b.gram))
 	}
-	i := b.index(gram)
+	b.dec(b.index(gram))
+}
+
+// dec removes one occurrence of the gram whose cell index is i, panicking
+// on underflow like Dec.
+func (b *Bitmap) dec(i int) {
 	if b.counts[i] == 0 || b.total == 0 {
 		panic("timeseries: Bitmap.Dec: cell underflow")
 	}
@@ -130,8 +140,9 @@ func (b *Bitmap) Clone() *Bitmap {
 }
 
 // BitmapDistance returns the Euclidean distance between the frequency
-// matrices of two bitmaps, the anomaly measure from Kumar et al. used by
-// the saxanomaly operator. The bitmaps must have identical shape.
+// matrices of two bitmaps, the anomaly measure from Kumar et al.
+// (AnomalyDetector maintains the same distance incrementally). The bitmaps
+// must have identical shape.
 func BitmapDistance(x, y *Bitmap) (float64, error) {
 	if x.alphabet != y.alphabet || x.gram != y.gram {
 		return 0, fmt.Errorf("timeseries: bitmap shape mismatch: (%d,%d) vs (%d,%d)",

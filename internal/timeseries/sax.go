@@ -3,7 +3,6 @@ package timeseries
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -93,14 +92,20 @@ func NewSAX(alphabet int) (*SAX, error) {
 func (s *SAX) Alphabet() int { return s.alphabet }
 
 // Symbol maps one (already normalized) value to its symbol in [0, a).
+// Symbols cover (bp[i-1], bp[i]], so the symbol is the number of
+// breakpoints strictly below x: for sorted breakpoints, the index
+// sort.SearchFloat64s returns, without its closure-based binary search.
 func (s *SAX) Symbol(x float64) int {
-	// sort.SearchFloat64s returns the first breakpoint >= x; symbols cover
-	// (bp[i-1], bp[i]], so search for the first breakpoint >= x.
-	i := sort.SearchFloat64s(s.breakpoints, x)
-	// NaN sorts nowhere useful; clamp it to the middle symbol so corrupt
-	// samples do not bias the extremes.
+	// NaN compares false against every breakpoint; clamp it to the middle
+	// symbol so corrupt samples do not bias the extremes.
 	if math.IsNaN(x) {
 		return s.alphabet / 2
+	}
+	i := 0
+	for _, b := range s.breakpoints {
+		if b < x {
+			i++
+		}
 	}
 	return i
 }

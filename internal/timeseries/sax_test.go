@@ -111,6 +111,36 @@ func TestSAXSymbol(t *testing.T) {
 	}
 }
 
+// TestSAXSymbolMatchesBinarySearch pins Symbol's linear count of the
+// breakpoints below x to sort.SearchFloat64s, the binary search it
+// replaced, for every alphabet: values exactly on each breakpoint, one ulp
+// either side of it, midway between breakpoints, ±Inf, and NaN (which
+// maps to the middle symbol).
+func TestSAXSymbolMatchesBinarySearch(t *testing.T) {
+	for a := MinAlphabet; a <= MaxAlphabet; a++ {
+		s, err := NewSAX(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp := s.breakpoints
+		xs := []float64{math.Inf(-1), math.Inf(1), -math.MaxFloat64, math.MaxFloat64, 0}
+		for i, b := range bp {
+			xs = append(xs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+			if i > 0 {
+				xs = append(xs, (bp[i-1]+b)/2)
+			}
+		}
+		for _, x := range xs {
+			if got, want := s.Symbol(x), sort.SearchFloat64s(bp, x); got != want {
+				t.Fatalf("alphabet %d: Symbol(%v) = %d, sort.SearchFloat64s = %d", a, x, got, want)
+			}
+		}
+		if got := s.Symbol(math.NaN()); got != a/2 {
+			t.Fatalf("alphabet %d: Symbol(NaN) = %d, want middle symbol %d", a, got, a/2)
+		}
+	}
+}
+
 func TestSAXWord(t *testing.T) {
 	s, err := NewSAX(5)
 	if err != nil {

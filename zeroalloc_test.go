@@ -154,7 +154,9 @@ func TestShardPathZeroAlloc(t *testing.T) {
 	_ = p.Close()
 	_ = col.Close()
 	<-runDone
-	if perRecord := allocs / 128; perRecord > 0.01 {
+	// Pooled paths allocate under -race by design (see race_on_test.go):
+	// only the allocation assertion is skipped there.
+	if perRecord := allocs / 128; perRecord > 0.01 && !raceEnabled {
 		t.Fatalf("partition->collect path allocates %.3f/record (%.0f/run), want 0", perRecord, allocs)
 	}
 	if got := col.Skipped(); got != 0 {
