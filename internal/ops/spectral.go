@@ -298,7 +298,8 @@ func (o *PAAOp) Process(r *record.Record, out pipeline.Emitter) error {
 // With the standard geometry, 3 records of 350 bins produce the paper's
 // 1050-feature patterns (105 after PAA). Leftover records at ensemble end
 // are dropped, as partial patterns would have inconsistent
-// dimensionality.
+// dimensionality. Rec2Vect is the final owner of every spectrum record it
+// merges and releases each to the record pool.
 type Rec2Vect struct {
 	MergeCount int
 	buf        []float64
@@ -337,10 +338,14 @@ func (o *Rec2Vect) Process(r *record.Record, out pipeline.Emitter) error {
 	}
 	o.buf = buf
 	o.have++
+	// Read the header before releasing: once back in the pool, r may be
+	// reused by another goroutine's pooledRecord at any moment.
+	scope, scopeType := r.Scope, r.ScopeType
+	record.Release(r)
 	if o.have < o.MergeCount {
 		return nil
 	}
-	p := pooledRecord(record.KindData, record.SubtypePattern, r.Scope, r.ScopeType)
+	p := pooledRecord(record.KindData, record.SubtypePattern, scope, scopeType)
 	p.SetFloat64s(o.buf)
 	o.buf = o.buf[:0]
 	o.have = 0

@@ -143,3 +143,82 @@ func BenchmarkExtractChain(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(clip.Samples))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
+
+// spectralChain wires the paper's spectral operators (reslice -> ... ->
+// rec2vect, PAA factor 10) into a releasing sink and returns its head.
+func spectralChain() pipeline.Emitter {
+	chain := SpectralOps(10)
+	var head pipeline.Emitter = releasingSink{}
+	for i := len(chain) - 1; i >= 0; i-- {
+		head = &opEmitter{op: chain[i], next: head}
+	}
+	return head
+}
+
+// feedEnsemble emits samples as one ensemble scope of pooled audio
+// records, whole records only, as the cutter ships them. With ctx the
+// ensemble open carries the sample rate, as the cutter's does; without,
+// the rate comes from an enclosing scope.
+func feedEnsemble(tb testing.TB, head pipeline.Emitter, samples []float64, ctx bool) {
+	open := pooledRecord(record.KindOpenScope, 0, 1, record.ScopeEnsemble)
+	if ctx {
+		open.SetContext(map[string]string{record.CtxSampleRate: strconv.Itoa(synth.StandardSampleRate)})
+	}
+	if err := head.Emit(open); err != nil {
+		tb.Fatal(err)
+	}
+	for start := 0; start+RecordSamples <= len(samples); start += RecordSamples {
+		r := pooledRecord(record.KindData, record.SubtypeAudio, 2, record.ScopeEnsemble)
+		r.SetFloat64s(samples[start : start+RecordSamples])
+		if err := head.Emit(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := head.Emit(pooledRecord(record.KindCloseScope, 0, 1, record.ScopeEnsemble)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestSpectralChainZeroAlloc pins the steady-state cost of the spectral
+// chain: audio records and reslice's overlaps cycle through every
+// operator and back to the pool at rec2vect, the patterns at the sink,
+// and nothing is allocated per record. The clip scope carries the sample
+// rate once, so the ensemble opens parse no context.
+func TestSpectralChainZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; pooled paths allocate by design")
+	}
+	head := spectralChain()
+	clip := benchClip(t)
+	openClip(t, head)
+	// Warm: every scratch buffer, window, FFT plan and the pool reach
+	// their working size.
+	for i := 0; i < 2; i++ {
+		feedEnsemble(t, head, clip.Samples, false)
+	}
+	const runs = 4
+	allocs := testing.AllocsPerRun(runs, func() { feedEnsemble(t, head, clip.Samples, false) })
+	records := len(clip.Samples) / RecordSamples
+	perRecord := allocs / float64(records)
+	t.Logf("per ensemble: %d audio records, %.0f allocs, %.4f/record", records, allocs, perRecord)
+	if perRecord > 0.01 {
+		t.Fatalf("spectral chain allocates %.3f/record, want 0", perRecord)
+	}
+}
+
+// BenchmarkSpectralChain runs one 30 s ensemble stream per op through the
+// paper's spectral operators (reslice -> welchwindow -> float2cplx -> dft
+// -> cabs -> cutout -> paa -> rec2vect) into a releasing sink, reporting
+// samples/s; allocs/op counts the ensemble open's context, which is all
+// that remains. It is the spectral twin of BenchmarkExtractChain.
+func BenchmarkSpectralChain(b *testing.B) {
+	head := spectralChain()
+	clip := benchClip(b)
+	feedEnsemble(b, head, clip.Samples, true) // warm the pool and scratch buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feedEnsemble(b, head, clip.Samples, true)
+	}
+	b.ReportMetric(float64(len(clip.Samples)/RecordSamples*RecordSamples)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+}

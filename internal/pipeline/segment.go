@@ -17,14 +17,51 @@ import (
 type Segment struct {
 	name string
 	ops  []Operator
+	// stages is the operator chain, built once: stages[i] feeds ops[i],
+	// which emits into stages[i+1], and the last into exit. Each drive
+	// call (RunChannel, ProcessOne, FlushAll) points exit at its out; a
+	// segment is driven by one goroutine at a time, like its operators.
+	stages []stage
+	exit   segmentExit
 
 	processed atomic.Uint64
-	emitted   atomic.Uint64
+}
+
+// stage feeds one operator and attributes its errors to it.
+type stage struct {
+	op   Operator
+	next Emitter
+}
+
+func (st *stage) Emit(r *record.Record) error {
+	if err := st.op.Process(r, st.next); err != nil {
+		return wrapOpErr(st.op, err)
+	}
+	return nil
+}
+
+// segmentExit counts the records leaving the chain and hands them to the
+// current drive call's out.
+type segmentExit struct {
+	out     Emitter
+	emitted atomic.Uint64
+}
+
+func (e *segmentExit) Emit(r *record.Record) error {
+	e.emitted.Add(1)
+	return e.out.Emit(r)
 }
 
 // NewSegment returns a segment running the given operators in order.
 func NewSegment(name string, ops ...Operator) *Segment {
-	return &Segment{name: name, ops: ops}
+	s := &Segment{name: name, ops: ops, stages: make([]stage, len(ops))}
+	for i, op := range ops {
+		s.stages[i] = stage{op: op, next: &s.exit}
+		if i > 0 {
+			s.stages[i-1].next = &s.stages[i]
+		}
+	}
+	return s
 }
 
 // Name returns the segment name.
@@ -43,24 +80,16 @@ func (s *Segment) Operators() []string {
 func (s *Segment) Processed() uint64 { return s.processed.Load() }
 
 // Emitted returns the number of records the segment has produced.
-func (s *Segment) Emitted() uint64 { return s.emitted.Load() }
+func (s *Segment) Emitted() uint64 { return s.exit.emitted.Load() }
 
-// chainEmitter routes a record through ops[i:] and finally to out.
-func (s *Segment) chainEmitter(i int, out Emitter) Emitter {
-	if i >= len(s.ops) {
-		return EmitterFunc(func(r *record.Record) error {
-			s.emitted.Add(1)
-			return out.Emit(r)
-		})
+// chainFrom routes the chain's exit to out and returns the entry to
+// ops[i:].
+func (s *Segment) chainFrom(i int, out Emitter) Emitter {
+	s.exit.out = out
+	if i >= len(s.stages) {
+		return &s.exit
 	}
-	next := s.chainEmitter(i+1, out)
-	op := s.ops[i]
-	return EmitterFunc(func(r *record.Record) error {
-		if err := op.Process(r, next); err != nil {
-			return wrapOpErr(op, err)
-		}
-		return nil
-	})
+	return &s.stages[i]
 }
 
 // RunChannel pumps records from in through the operator chain to out until
@@ -68,7 +97,7 @@ func (s *Segment) chainEmitter(i int, out Emitter) Emitter {
 // Flush (if implemented) is invoked in order. The context cancels the pump
 // between records.
 func (s *Segment) RunChannel(ctx context.Context, in <-chan *record.Record, out Emitter) error {
-	head := s.chainEmitter(0, out)
+	head := s.chainFrom(0, out)
 	for {
 		select {
 		case <-ctx.Done():
@@ -89,7 +118,7 @@ func (s *Segment) RunChannel(ctx context.Context, in <-chan *record.Record, out 
 // drivers and tests).
 func (s *Segment) ProcessOne(r *record.Record, out Emitter) error {
 	s.processed.Add(1)
-	return s.chainEmitter(0, out).Emit(r)
+	return s.chainFrom(0, out).Emit(r)
 }
 
 // FlushAll flushes each operator in order into out.
@@ -103,7 +132,7 @@ func (s *Segment) flush(out Emitter) error {
 		if !ok {
 			continue
 		}
-		if err := f.Flush(s.chainEmitter(i+1, out)); err != nil {
+		if err := f.Flush(s.chainFrom(i+1, out)); err != nil {
 			return wrapOpErr(op, err)
 		}
 	}

@@ -345,6 +345,37 @@ func TestSegmentProcessOne(t *testing.T) {
 	}
 }
 
+// TestSegmentProcessOneZeroAlloc pins that the operator chain is built
+// once per segment: pushing a record through a two-operator segment
+// allocates nothing, while the counters and the destination out still
+// follow each call.
+func TestSegmentProcessOneZeroAlloc(t *testing.T) {
+	seg := NewSegment("s", Relay{}, Relay{})
+	r := record.NewData(0)
+	var first, second int
+	out1 := EmitterFunc(func(*record.Record) error { first++; return nil })
+	out2 := EmitterFunc(func(*record.Record) error { second++; return nil })
+	var out Emitter = out1
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := seg.ProcessOne(r, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ProcessOne allocates %.2f/record through two operators, want 0", allocs)
+	}
+	out = out2
+	if err := seg.ProcessOne(r, out); err != nil {
+		t.Fatal(err)
+	}
+	if first != 1001 || second != 1 {
+		t.Errorf("outs saw %d and %d records, want 1001 and 1", first, second)
+	}
+	if seg.Processed() != 1002 || seg.Emitted() != 1002 {
+		t.Errorf("Processed=%d Emitted=%d, want 1002/1002", seg.Processed(), seg.Emitted())
+	}
+}
+
 func TestOperatorErrorUnwrap(t *testing.T) {
 	inner := errors.New("boom")
 	oe := &OperatorError{Op: "x", Err: inner}

@@ -16,9 +16,13 @@ import "sync"
 // Emitter.Emit, Sink.Consume, or Operator.Process transfers ownership to
 // the callee; the caller must not touch the record (or any slice aliasing
 // its payload) afterwards. The final owner — and only the final owner —
-// calls Release. Components that copy the bytes out synchronously
-// (BatchWriter.Add, StreamOut.Consume, the typed Float64s/PCM16/...
-// decoders) do not retain the record, so their caller keeps ownership.
+// calls Release. An operator that consumes records without forwarding
+// them is a final owner: in the ops package, Trigger releases the score
+// records it reads, Cutter the audio and trigger records it cuts, and
+// Rec2Vect the spectrum records it merges into patterns. Components that
+// copy the bytes out synchronously (BatchWriter.Add, StreamOut.Consume,
+// the typed Float64s/PCM16/... decoders) do not retain the record, so
+// their caller keeps ownership.
 // Holding a record past a handoff requires Clone (or GetCopy).
 //
 // Release is always optional: a record that is never released is simply

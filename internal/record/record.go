@@ -12,11 +12,14 @@
 package record
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"unsafe"
 )
 
 // Kind discriminates the structural role of a record in the stream.
@@ -265,14 +268,18 @@ func (r *Record) String() string {
 		r.PayloadType, len(r.Payload))
 }
 
-// SetFloat64s encodes v as the record payload, reusing existing payload
-// capacity when it suffices.
+// SetFloat64s encodes v as the record payload (little-endian IEEE-754
+// doubles), reusing existing payload capacity when it suffices. The wire
+// bytes are the same on every host; on a little-endian host they are the
+// slice's own memory, so encoding is a single copy.
 func (r *Record) SetFloat64s(v []float64) {
 	r.PayloadType = PayloadFloat64
 	p := r.ensurePayload(8 * len(v))
-	for i, x := range v {
-		putU64(p[8*i:], math.Float64bits(x))
+	if hostLittleEndian {
+		copy(p, float64Bytes(v))
+		return
 	}
+	putFloat64s(p, v)
 }
 
 // Float64s decodes the payload as a float64 slice. The returned slice is
@@ -283,7 +290,9 @@ func (r *Record) Float64s() ([]float64, error) {
 
 // AppendFloat64s decodes the payload as float64 samples appended to dst
 // (which may be nil) and returns the extended slice. Passing scratch with
-// sufficient capacity (e.g. buf[:0]) makes decoding allocation-free.
+// sufficient capacity (e.g. buf[:0]) makes decoding allocation-free. The
+// wire bytes are the same on every host; on a little-endian host decoding
+// grows dst at most once and is a single copy.
 func (r *Record) AppendFloat64s(dst []float64) ([]float64, error) {
 	if r.PayloadType != PayloadFloat64 {
 		return nil, fmt.Errorf("%w: have %s, want %s", ErrPayloadType, r.PayloadType, PayloadFloat64)
@@ -291,21 +300,27 @@ func (r *Record) AppendFloat64s(dst []float64) ([]float64, error) {
 	if len(r.Payload)%8 != 0 {
 		return nil, fmt.Errorf("%w: %d bytes is not a multiple of 8", ErrShortPayload, len(r.Payload))
 	}
-	for i := 0; i < len(r.Payload); i += 8 {
-		dst = append(dst, math.Float64frombits(getU64(r.Payload[i:])))
+	if !hostLittleEndian {
+		return appendFloat64s(dst, r.Payload), nil
 	}
+	n, m := len(dst), len(r.Payload)/8
+	dst = slices.Grow(dst, m)[:n+m]
+	copy(float64Bytes(dst[n:]), r.Payload)
 	return dst, nil
 }
 
-// SetComplex128s encodes v as interleaved float64 pairs, reusing existing
-// payload capacity when it suffices.
+// SetComplex128s encodes v as interleaved (re, im) little-endian float64
+// pairs, reusing existing payload capacity when it suffices. The wire
+// bytes are the same on every host; on a little-endian host they are the
+// slice's own memory, so encoding is a single copy.
 func (r *Record) SetComplex128s(v []complex128) {
 	r.PayloadType = PayloadComplex128
 	p := r.ensurePayload(16 * len(v))
-	for i, x := range v {
-		putU64(p[16*i:], math.Float64bits(real(x)))
-		putU64(p[16*i+8:], math.Float64bits(imag(x)))
+	if hostLittleEndian {
+		copy(p, complex128Bytes(v))
+		return
 	}
+	putComplex128s(p, v)
 }
 
 // Complex128s decodes the payload as a complex128 slice. The returned
@@ -315,7 +330,9 @@ func (r *Record) Complex128s() ([]complex128, error) {
 }
 
 // AppendComplex128s decodes the payload as complex samples appended to
-// dst (which may be nil) and returns the extended slice.
+// dst (which may be nil) and returns the extended slice. The wire bytes
+// are the same on every host; on a little-endian host decoding grows dst
+// at most once and is a single copy.
 func (r *Record) AppendComplex128s(dst []complex128) ([]complex128, error) {
 	if r.PayloadType != PayloadComplex128 {
 		return nil, fmt.Errorf("%w: have %s, want %s", ErrPayloadType, r.PayloadType, PayloadComplex128)
@@ -323,11 +340,12 @@ func (r *Record) AppendComplex128s(dst []complex128) ([]complex128, error) {
 	if len(r.Payload)%16 != 0 {
 		return nil, fmt.Errorf("%w: %d bytes is not a multiple of 16", ErrShortPayload, len(r.Payload))
 	}
-	for i := 0; i < len(r.Payload); i += 16 {
-		re := math.Float64frombits(getU64(r.Payload[i:]))
-		im := math.Float64frombits(getU64(r.Payload[i+8:]))
-		dst = append(dst, complex(re, im))
+	if !hostLittleEndian {
+		return appendComplex128s(dst, r.Payload), nil
 	}
+	n, m := len(dst), len(r.Payload)/16
+	dst = slices.Grow(dst, m)[:n+m]
+	copy(complex128Bytes(dst[n:]), r.Payload)
 	return dst, nil
 }
 
@@ -466,6 +484,60 @@ func readLenPrefixed(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w: need %d bytes, have %d", ErrShortPayload, n, len(b))
 	}
 	return string(b[:n]), b[n:], nil
+}
+
+// hostLittleEndian reports whether the host's in-memory layout of a
+// float64 is its wire encoding (little-endian IEEE-754). When it is, the
+// typed payload codec copies whole slices; otherwise it falls back to the
+// portable per-element loops below.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float64Bytes views v's memory as bytes. The view is only ever a copy
+// source or destination, so the byte side may sit at any alignment.
+func float64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// complex128Bytes views v's memory as bytes: (re, im) float64 pairs.
+func complex128Bytes(v []complex128) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 16*len(v))
+}
+
+// putFloat64s is the portable float64 encoder: one element at a time, in
+// wire order, on any host. p must hold 8*len(v) bytes.
+func putFloat64s(p []byte, v []float64) {
+	for i, x := range v {
+		putU64(p[8*i:], math.Float64bits(x))
+	}
+}
+
+// appendFloat64s is the portable float64 decoder. len(p) must be a
+// multiple of 8.
+func appendFloat64s(dst []float64, p []byte) []float64 {
+	for i := 0; i < len(p); i += 8 {
+		dst = append(dst, math.Float64frombits(getU64(p[i:])))
+	}
+	return dst
+}
+
+// putComplex128s is the portable complex128 encoder. p must hold
+// 16*len(v) bytes.
+func putComplex128s(p []byte, v []complex128) {
+	for i, x := range v {
+		putU64(p[16*i:], math.Float64bits(real(x)))
+		putU64(p[16*i+8:], math.Float64bits(imag(x)))
+	}
+}
+
+// appendComplex128s is the portable complex128 decoder. len(p) must be a
+// multiple of 16.
+func appendComplex128s(dst []complex128, p []byte) []complex128 {
+	for i := 0; i < len(p); i += 16 {
+		re := math.Float64frombits(getU64(p[i:]))
+		im := math.Float64frombits(getU64(p[i+8:]))
+		dst = append(dst, complex(re, im))
+	}
+	return dst
 }
 
 func putU64(b []byte, v uint64) {
