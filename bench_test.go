@@ -34,7 +34,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/record"
 	"repro/internal/replica"
-	"repro/internal/shard"
 	"repro/internal/synth"
 	"repro/internal/timeseries"
 )
@@ -396,7 +395,7 @@ func BenchmarkMergerDedupThroughput(b *testing.B) {
 // and the next records catch up without sleeping, so the mean service
 // time is exact whatever the slack.
 func shardedBench(b *testing.B, k int, service time.Duration) {
-	col, err := shard.NewCollector(shard.CollectorConfig{
+	col, err := replica.NewCollector(replica.MergerConfig{
 		Group: "bench", ListenAddr: "127.0.0.1:0", Pooled: true,
 	})
 	if err != nil {
@@ -468,7 +467,7 @@ func shardedBench(b *testing.B, k int, service time.Duration) {
 		}(ln)
 	}
 
-	p := shard.NewPartitioner(shard.PartitionerConfig{
+	p := replica.NewPartitioner(replica.FanOutConfig{
 		Group: "bench", Epoch: 1, Legs: legs, Flush: record.DefaultBatchConfig(),
 	})
 	samples := make([]int16, 32) // 64-byte PCM payload
@@ -479,7 +478,7 @@ func shardedBench(b *testing.B, k int, service time.Duration) {
 	// at start the leg queues fill with up to LegQueue pool copies per leg
 	// before the first Release cycles back, and that one-time burst would
 	// otherwise dominate allocs/op at short benchtimes.
-	warm := make([]*record.Record, (shard.DefaultLegQueue+64)*k)
+	warm := make([]*record.Record, (replica.LegQueue+64)*k)
 	for i := range warm {
 		warm[i] = record.GetCopy(r)
 	}

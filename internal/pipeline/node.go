@@ -486,9 +486,10 @@ func (n *Node) RedirectAtBoundary(segName, downstreamAddr string, wait time.Dura
 	return bs.RedirectAtBoundary(downstreamAddr, wait), nil
 }
 
-// SetLegs replaces the fan-out leg set of a hosted replication splitter.
-// The control plane uses it to drop a dead replica's leg and splice a
-// re-placed one in without touching the upstream stream.
+// SetLegs replaces the leg set of a hosted fan-out (a replication
+// splitter or a shard partitioner). The control plane uses it to drop a
+// dead leg and splice a re-placed one in without touching the upstream
+// stream.
 func (n *Node) SetLegs(segName string, addrs []string) error {
 	n.mu.Lock()
 	h, ok := n.hosted[segName]
@@ -498,7 +499,7 @@ func (n *Node) SetLegs(segName string, addrs []string) error {
 	}
 	ls, ok := h.sink.(legSink)
 	if !ok {
-		return fmt.Errorf("pipeline: segment %q is not a splitter", segName)
+		return fmt.Errorf("pipeline: segment %q is not a fan-out", segName)
 	}
 	ls.SetLegs(addrs)
 	return nil

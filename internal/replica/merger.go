@@ -19,14 +19,22 @@ import (
 // forward.
 const DefaultWindow = 1024
 
-// MergerConfig parameterizes a Merger.
+// collectWindow is a collector's reorder window. It must exceed the
+// partition-side in-flight bound — LegQueue × K plus batching slack — or
+// steady-state skew between a slow leg and its siblings is misread as a
+// gap and skipped. 8192 covers K=16 with room to spare; the memory is a
+// pointer ring, not records.
+const collectWindow = 8192
+
+// MergerConfig parameterizes a merger or a collector.
 type MergerConfig struct {
-	// Group names the replicated segment group (stream identity).
+	// Group names the segment group (stream identity).
 	Group string
-	// ListenAddr is the listen address replica legs dial ("host:0" for
+	// ListenAddr is the listen address the legs dial ("host:0" for
 	// ephemeral).
 	ListenAddr string
-	// Window bounds the reorder buffer (default DefaultWindow).
+	// Window bounds a merger's reorder buffer (default DefaultWindow). A
+	// collector ignores it: its window is collectWindow.
 	Window int
 	// Pooled decodes leg records into pool-backed storage
 	// (record.GetRecord) and marks the merger as a recycling source: a
@@ -34,24 +42,6 @@ type MergerConfig struct {
 	// consumes it. Enable only when every downstream consumer honors the
 	// ownership contract in record/pool.go.
 	Pooled bool
-	// Stream overrides the stream identity derived from Group (0 derives
-	// record.ReplicaStreamID(Group)). The shard collector reuses the
-	// merger's ring-reorder core under its own stream namespace.
-	Stream uint32
-	// Role overrides the role the merger reports in names and stats
-	// (default "merge").
-	Role string
-	// ZeroBased declares that each tagging epoch numbers from 0 and that
-	// the transport bounds the records in flight below Window. On an epoch
-	// resync the merger then anchors at 0 whenever the first record
-	// observed is inside the window, instead of at that record. Replica
-	// legs never need this — every leg carries the whole stream in order,
-	// so the first arrival of an epoch is its head — but shard legs each
-	// start at whatever sequence first hashed to them, and anchoring at a
-	// fast leg's first record would misorder or drop the slower legs'
-	// heads. A first observation beyond the window still anchors there
-	// (the stream was already running; this merger joined mid-flight).
-	ZeroBased bool
 }
 
 // Merger is a pipeline.Source that accepts the N replica legs of a
@@ -66,13 +56,24 @@ type MergerConfig struct {
 // Untagged records are discarded: the scope repairs a dying replica's
 // streamin synthesizes for its own severed leg carry no tag, and
 // swallowing them here is precisely what makes a replica death invisible
-// downstream.
+// downstream. A collector (NewCollector) is the same machine fed by a
+// partitioner's shard legs.
 type Merger struct {
-	group     string
-	stream    uint32
-	role      string
-	window    int
-	pooled    bool
+	group  string
+	stream uint32
+	role   string // "merge" or "collect": unit name and stats role
+	window int
+	pooled bool
+	// zeroBased declares that each tagging epoch numbers from 0 and that
+	// the transport bounds the records in flight below window. On an epoch
+	// resync the merger then anchors at 0 whenever the first record
+	// observed is inside the window, instead of at that record. Replica
+	// legs never need this — every leg carries the whole stream in order,
+	// so the first arrival of an epoch is its head — but shard legs each
+	// start at whatever sequence first hashed to them, and anchoring at a
+	// fast leg's first record would misorder or drop the slower legs'
+	// heads. A first observation beyond the window still anchors there
+	// (the stream was already running; this merger joined mid-flight).
 	zeroBased bool
 	ln        net.Listener
 	ctx       context.Context
@@ -105,8 +106,30 @@ type Merger struct {
 	emitErr error
 }
 
-// NewMerger binds the merger's listener.
+// NewMerger returns the fan-in of a replicated segment, bound to its
+// listener.
 func NewMerger(cfg MergerConfig) (*Merger, error) {
+	return newMerger(cfg, record.ReplicaStreamID(cfg.Group), "merge", false)
+}
+
+// NewCollector returns the fan-in of a sharded segment, bound to its
+// listener: the merger's ring-reorder core under the shard stream
+// namespace. The partitioner's global sequence numbering makes total-order
+// restoration (and with it per-stream order) a plain reorder by
+// annotation; the same dedup absorbs retransmits from leg re-splices, the
+// same gap-skip bounds the damage of a lost leg, and the same epoch
+// handling resynchronizes after a partitioner re-splice.
+//
+// Shard legs each start at whatever sequence first hashed to them, so the
+// first arrival of an epoch is not the stream head: the collector resyncs
+// zero-based (see Merger.zeroBased), which is sound because its window
+// exceeds the partition-side in-flight bound.
+func NewCollector(cfg MergerConfig) (*Merger, error) {
+	cfg.Window = collectWindow
+	return newMerger(cfg, record.ShardStreamID(cfg.Group), "collect", true)
+}
+
+func newMerger(cfg MergerConfig, stream uint32, role string, zeroBased bool) (*Merger, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
@@ -116,22 +139,16 @@ func NewMerger(cfg MergerConfig) (*Merger, error) {
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("replica: merger listen %s: %w", addr, err)
+		return nil, fmt.Errorf("replica: %s listen %s: %w", role, addr, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	if cfg.Stream == 0 {
-		cfg.Stream = record.ReplicaStreamID(cfg.Group)
-	}
-	if cfg.Role == "" {
-		cfg.Role = "merge"
-	}
 	return &Merger{
 		group:     cfg.Group,
-		stream:    cfg.Stream,
-		role:      cfg.Role,
+		stream:    stream,
+		role:      role,
 		window:    cfg.Window,
 		pooled:    cfg.Pooled,
-		zeroBased: cfg.ZeroBased,
+		zeroBased: zeroBased,
 		ln:        ln,
 		ctx:       ctx,
 		cancel:    cancel,

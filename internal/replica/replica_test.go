@@ -284,7 +284,7 @@ func TestSplitterFansOutAndRetags(t *testing.T) {
 	inA, colA, doneA := recv()
 	inB, colB, doneB := recv()
 
-	s := NewSplitter(SplitterConfig{
+	s := NewSplitter(FanOutConfig{
 		Group: "g", Epoch: 7, Legs: []string{inA.Addr(), inB.Addr()},
 		Flush: record.PerRecordConfig(),
 	})
@@ -350,12 +350,13 @@ func TestSplitterDeadLegNeverStalls(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
-	s := NewSplitter(SplitterConfig{
+	s := NewSplitter(FanOutConfig{
 		Group: "g", Legs: []string{inA.Addr(), inB.Addr(), deadAddr},
-		LegQueue: 4, Flush: record.PerRecordConfig(),
+		Flush: record.PerRecordConfig(),
 	})
 	stream := record.ReplicaStreamID("g")
-	const n = 100
+	// More records than the dead leg's queue holds, so it must drop.
+	const n = 2 * LegQueue
 	for i := 0; i < n; i++ {
 		r := record.NewData(record.SubtypeAudio)
 		r.SetFloat64s([]float64{float64(i)})
@@ -428,7 +429,7 @@ func TestSplitterMergerEndToEnd(t *testing.T) {
 		}
 		legs[i] = addr
 	}
-	s := NewSplitter(SplitterConfig{Group: "g", Epoch: 1, Legs: legs})
+	s := NewSplitter(FanOutConfig{Group: "g", Epoch: 1, Legs: legs})
 
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -484,8 +485,7 @@ func TestSplitterMergerFrameInterop(t *testing.T) {
 		flush := record.DefaultBatchConfig()
 		flush.MaxDelay = time.Millisecond
 		// Two relay hops feed the same merger: every record arrives twice
-		// and dedup must halve it. (Legs are keyed by address, so they
-		// must be distinct endpoints.)
+		// and dedup must halve it.
 		reg := pipeline.NewRegistry()
 		reg.Register("relay", func() []pipeline.Operator { return []pipeline.Operator{pipeline.Relay{}} })
 		node := pipeline.NewNode("n", reg)
@@ -497,7 +497,7 @@ func TestSplitterMergerFrameInterop(t *testing.T) {
 			}
 			legs[i] = addr
 		}
-		s := NewSplitter(SplitterConfig{
+		s := NewSplitter(FanOutConfig{
 			Group: "g", Epoch: 1, Legs: legs, Flush: flush,
 		})
 

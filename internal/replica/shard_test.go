@@ -1,51 +1,13 @@
-package shard
+package replica
 
 import (
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/record"
 )
-
-// collectEmitter gathers the collector's output for assertions.
-type collectEmitter struct {
-	mu   sync.Mutex
-	recs []*record.Record
-}
-
-func (c *collectEmitter) Emit(r *record.Record) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recs = append(c.recs, r.Clone())
-	return nil
-}
-
-func (c *collectEmitter) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.recs)
-}
-
-func (c *collectEmitter) snapshot() []*record.Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*record.Record(nil), c.recs...)
-}
-
-func waitCond(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
 
 // throttleProxy forwards a leg's bytes to dst, pacing each read by delay,
 // so one shard leg can be made arbitrarily slower than its siblings.
@@ -106,7 +68,7 @@ func keyedData(key uint32, perStream, global int) *record.Record {
 // every record exactly once in the partitioner's exact input order — which
 // implies per-stream order — with zero gap-skips.
 func TestPartitionCollectOrder(t *testing.T) {
-	col, err := NewCollector(CollectorConfig{Group: "g", ListenAddr: "127.0.0.1:0"})
+	col, err := NewCollector(MergerConfig{Group: "g", ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +90,7 @@ func TestPartitionCollectOrder(t *testing.T) {
 		defer closeProxy()
 		legs[i] = addr
 	}
-	p := NewPartitioner(PartitionerConfig{Group: "g", Epoch: 1, Legs: legs, Flush: record.PerRecordConfig()})
+	p := NewPartitioner(FanOutConfig{Group: "g", Epoch: 1, Legs: legs, Flush: record.PerRecordConfig()})
 
 	const n = 4000
 	const hotKey = 7
@@ -194,7 +156,7 @@ func TestPartitionCollectOrder(t *testing.T) {
 // queued tails through their old connections (the retire linger) instead
 // of abandoning them, so an autoscaler shrink never costs records.
 func TestScaleInFlushesRetiredLegs(t *testing.T) {
-	col, err := NewCollector(CollectorConfig{Group: "g", ListenAddr: "127.0.0.1:0"})
+	col, err := NewCollector(MergerConfig{Group: "g", ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +170,7 @@ func TestScaleInFlushesRetiredLegs(t *testing.T) {
 		legs[i], closers[i] = throttleProxy(t, col.Addr(), 0)
 		defer closers[i]()
 	}
-	p := NewPartitioner(PartitionerConfig{Group: "g", Epoch: 1, Legs: legs, Flush: record.PerRecordConfig()})
+	p := NewPartitioner(FanOutConfig{Group: "g", Epoch: 1, Legs: legs, Flush: record.PerRecordConfig()})
 
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -270,13 +232,12 @@ func TestShardIndexSpread(t *testing.T) {
 	}
 }
 
-// TestKeyFuncOrder is the adversarial order test for per-type sharding:
-// every record carries the SAME SourceID (so SourceID-keyed routing would
-// collapse onto one leg) while a KeyFunc on the subtype spreads the
-// stream across legs, one of which is an order of magnitude slower. The
-// collector must still emit the exact total input order.
-func TestKeyFuncOrder(t *testing.T) {
-	col, err := NewCollector(CollectorConfig{Group: "kf", ListenAddr: "127.0.0.1:0"})
+// TestThrottledLegOrder spreads a stream whose records also vary in
+// subtype across 4 shard legs by SourceID, one leg an order of magnitude
+// slower than its siblings. The collector must still emit the exact total
+// input order with every record's header and payload intact.
+func TestThrottledLegOrder(t *testing.T) {
+	col, err := NewCollector(MergerConfig{Group: "kf", ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,26 +256,22 @@ func TestKeyFuncOrder(t *testing.T) {
 		defer closeProxy()
 		legs[i] = addr
 	}
-	p := NewPartitioner(PartitionerConfig{
-		Group: "kf", Epoch: 1, Legs: legs,
-		Flush: record.PerRecordConfig(),
-		Key:   KeyBySubtype,
-	})
+	p := NewPartitioner(FanOutConfig{Group: "kf", Epoch: 1, Legs: legs, Flush: record.PerRecordConfig()})
 
 	const n = 2000
 	legsUsed := map[int]bool{}
 	for i := 0; i < n; i++ {
-		r := record.NewData(uint16(i % 13)) // varying subtype = the shard key
-		r.SourceID = 42                     // constant: useless as a key
+		r := record.NewData(uint16(i % 13))
+		r.SourceID = uint32(1 + i%13) // the shard key
 		r.SetFloat64s([]float64{float64(i)})
-		legsUsed[shardIndex(KeyBySubtype(r), k)] = true
+		legsUsed[shardIndex(r.SourceID, k)] = true
 		if err := p.Consume(r); err != nil {
 			t.Fatalf("consume %d: %v", i, err)
 		}
 		record.Release(r)
 	}
 	if len(legsUsed) < 3 {
-		t.Fatalf("KeyFunc routing collapsed onto %d legs; the test needs real spread", len(legsUsed))
+		t.Fatalf("routing collapsed onto %d legs; the test needs real spread", len(legsUsed))
 	}
 	waitCond(t, 30*time.Second, "all records collected", func() bool { return sink.len() >= n })
 	_ = p.Close()
@@ -345,11 +302,57 @@ func TestKeyFuncOrder(t *testing.T) {
 	}
 }
 
+// TestRetiredLegToDeadHostStops removes a shard leg whose host refuses
+// connections while its writer is stuck redialling with records queued.
+// The retired leg must shut down on its own within 2×retireLinger, not
+// linger until Close: every failover would otherwise leak a goroutine
+// and a streamout.
+func TestRetiredLegToDeadHostStops(t *testing.T) {
+	col, err := NewCollector(MergerConfig{Group: "dead", ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	go func() { _ = col.Run(&collectEmitter{}) }()
+	// Reserve an address with no listener behind it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close()
+
+	p := NewPartitioner(FanOutConfig{Group: "dead", Epoch: 1,
+		Legs: []string{col.Addr(), deadAddr}, Flush: record.PerRecordConfig()})
+	defer p.Close()
+	p.mu.Lock()
+	dead := p.legs[1]
+	p.mu.Unlock()
+	for key, sent := uint32(1), 0; sent < 8; key++ {
+		if shardIndex(key, 2) != 1 {
+			continue
+		}
+		r := keyedData(key, 0, sent)
+		if err := p.Consume(r); err != nil {
+			t.Fatal(err)
+		}
+		record.Release(r)
+		sent++
+	}
+	waitCond(t, 5*time.Second, "dead leg's writer redialling", func() bool { return dead.taken.Load() > 0 })
+	p.SetLegs([]string{col.Addr()})
+	select {
+	case <-dead.done:
+	case <-time.After(2 * retireLinger):
+		t.Fatalf("retired leg toward a dead host still running %v after SetLegs", 2*retireLinger)
+	}
+}
+
 // TestShardFrameInterop reruns the partition->collect exactly-once path
 // with batch-framed legs under the default flush policy: several records
 // share each frame, and the collector must still restore total order.
 func TestShardFrameInterop(t *testing.T) {
-	col, err := NewCollector(CollectorConfig{Group: "g1", ListenAddr: "127.0.0.1:0"})
+	col, err := NewCollector(MergerConfig{Group: "g1", ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +362,7 @@ func TestShardFrameInterop(t *testing.T) {
 
 	flush := record.DefaultBatchConfig()
 	flush.MaxDelay = time.Millisecond
-	p := NewPartitioner(PartitionerConfig{
+	p := NewPartitioner(FanOutConfig{
 		Group: "g1", Epoch: 1,
 		Legs:  []string{col.Addr(), col.Addr(), col.Addr()},
 		Flush: flush,

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/replica"
-	"repro/internal/shard"
 )
 
 // Agent is the node-side half of the control plane. It registers with a
@@ -204,24 +203,14 @@ func (a *Agent) session(ctx context.Context) (registered bool, err error) {
 	if err := w.send(reg); err != nil {
 		return false, err
 	}
-	// Wait for the register ack, which carries the adoption verdict for
-	// our inventory. The coordinator publishes us to its reconcile loop
-	// before its ack send executes, so a command (assign, redirect) can
-	// legitimately arrive first — buffer those and replay them after the
-	// ack's stop list has been applied, so a stop verdict can never kill
-	// an instance a buffered re-assign just created.
-	var ack *Message
-	var pending []*Message
-	for ack == nil {
-		msg, err := w.recv()
-		if err != nil {
-			return false, fmt.Errorf("river: agent %s: register: %w", a.name, err)
-		}
-		if msg.Type == TypeAck {
-			ack = msg
-			break
-		}
-		pending = append(pending, msg)
+	// The register ack carries the adoption verdict for our inventory;
+	// the coordinator sends no command before it.
+	ack, err := w.recv()
+	if err != nil {
+		return false, fmt.Errorf("river: agent %s: register: %w", a.name, err)
+	}
+	if ack.Type != TypeAck {
+		return false, fmt.Errorf("river: agent %s: register: got %s before the ack", a.name, ack.Type)
 	}
 	if ack.Ver != ProtocolVersion {
 		return false, fmt.Errorf("river: agent %s: %w: coordinator speaks v%d, agent v%d",
@@ -256,9 +245,6 @@ func (a *Agent) session(ctx context.Context) (registered bool, err error) {
 		a.heartbeatLoop(ctx, w, interval, intervalCh, stop)
 	}()
 
-	for _, msg := range pending {
-		a.dispatch(w, msg, intervalCh)
-	}
 	for {
 		msg, err := w.recv()
 		if err != nil {
@@ -364,14 +350,10 @@ func (a *Agent) handleAssign(w *wire, msg *Message) {
 	var addr string
 	var err error
 	switch msg.Role {
-	case RoleSplit:
-		addr, err = a.hostSplitter(msg)
-	case RoleMerge:
-		addr, err = a.hostMerger(msg)
-	case RolePartition:
-		addr, err = a.hostPartitioner(msg)
-	case RoleCollect:
-		addr, err = a.hostCollector(msg)
+	case RoleSplit, RolePartition:
+		addr, err = a.hostFanOut(msg)
+	case RoleMerge, RoleCollect:
+		addr, err = a.hostFanIn(msg)
 	default:
 		addr, err = a.node.Host(msg.Seg, msg.SegType, net.JoinHostPort(a.ListenHost, "0"), msg.Downstream)
 	}
@@ -390,91 +372,57 @@ func (a *Agent) handleAssign(w *wire, msg *Message) {
 	a.logf("hosting %s (%s) at %s -> %s%v", msg.Seg, typ, addr, msg.Downstream, msg.Downstreams)
 }
 
-// hostSplitter runs a replication splitter: a streamin front tagging into
-// a fan-out sink over the node's batched transport.
-func (a *Agent) hostSplitter(msg *Message) (string, error) {
+// hostFanOut runs a replication splitter (RoleSplit) or a shard
+// partitioner (RolePartition): a streamin front tagging into a fan-out
+// sink over the node's batched transport.
+func (a *Agent) hostFanOut(msg *Message) (string, error) {
 	in, err := pipeline.NewStreamIn(net.JoinHostPort(a.ListenHost, "0"))
 	if err != nil {
 		return "", err
 	}
 	in.QueueSize = a.node.QueueSize
-	// The splitter clones per leg and never retains its input, so the
-	// front can decode into pooled records.
+	// The fan-out hands each leg a pool-backed copy and never retains its
+	// input, so the front can decode into pooled records.
 	in.Pooled = true
-	split := replica.NewSplitter(replica.SplitterConfig{
+	newFanOut := replica.NewSplitter
+	if msg.Role == RolePartition {
+		newFanOut = replica.NewPartitioner
+	}
+	fan := newFanOut(replica.FanOutConfig{
 		Group: msg.Group,
 		Epoch: msg.Epoch,
 		Legs:  msg.Downstreams,
 		Flush: a.node.FlushPolicy,
 	})
-	if err := a.node.HostUnit(msg.Seg, RoleSplit, in, pipeline.NewSegment(msg.Seg), split); err != nil {
+	if err := a.node.HostUnit(msg.Seg, msg.Role, in, pipeline.NewSegment(msg.Seg), fan); err != nil {
 		return "", err
 	}
 	return in.Addr(), nil
 }
 
-// hostMerger runs a replication merger: a concurrent fan-in source
-// deduplicating into a single batched streamout toward the downstream.
-func (a *Agent) hostMerger(msg *Message) (string, error) {
-	merge, err := replica.NewMerger(replica.MergerConfig{
+// hostFanIn runs a replication merger (RoleMerge) or a shard collector
+// (RoleCollect): a concurrent fan-in source deduplicating and reordering
+// into a single batched streamout toward the downstream.
+func (a *Agent) hostFanIn(msg *Message) (string, error) {
+	newFanIn := replica.NewMerger
+	if msg.Role == RoleCollect {
+		newFanIn = replica.NewCollector
+	}
+	fan, err := newFanIn(replica.MergerConfig{
 		Group:      msg.Group,
 		ListenAddr: net.JoinHostPort(a.ListenHost, "0"),
 		// The downstream is a streamout, which encodes synchronously and
-		// never retains records, so the merger can recycle them.
+		// never retains records, so the fan-in can recycle them.
 		Pooled: true,
 	})
 	if err != nil {
 		return "", err
 	}
 	out := pipeline.NewStreamOutBatched(msg.Downstream, a.node.FlushPolicy)
-	if err := a.node.HostUnit(msg.Seg, RoleMerge, merge, pipeline.NewSegment(msg.Seg), out); err != nil {
+	if err := a.node.HostUnit(msg.Seg, msg.Role, fan, pipeline.NewSegment(msg.Seg), out); err != nil {
 		return "", err
 	}
-	return merge.Addr(), nil
-}
-
-// hostPartitioner runs a shard partitioner: a streamin front hashing each
-// record's stream identity to one of the shard legs.
-func (a *Agent) hostPartitioner(msg *Message) (string, error) {
-	in, err := pipeline.NewStreamIn(net.JoinHostPort(a.ListenHost, "0"))
-	if err != nil {
-		return "", err
-	}
-	in.QueueSize = a.node.QueueSize
-	// The partitioner hands its one leg a pool-backed copy and never
-	// retains its input, so the front can decode into pooled records.
-	in.Pooled = true
-	part := shard.NewPartitioner(shard.PartitionerConfig{
-		Group: msg.Group,
-		Epoch: msg.Epoch,
-		Legs:  msg.Downstreams,
-		Flush: a.node.FlushPolicy,
-	})
-	if err := a.node.HostUnit(msg.Seg, RolePartition, in, pipeline.NewSegment(msg.Seg), part); err != nil {
-		return "", err
-	}
-	return in.Addr(), nil
-}
-
-// hostCollector runs a shard collector: a concurrent fan-in source
-// restoring the partitioner's total order into a single batched streamout
-// toward the downstream.
-func (a *Agent) hostCollector(msg *Message) (string, error) {
-	col, err := shard.NewCollector(shard.CollectorConfig{
-		Group:      msg.Group,
-		ListenAddr: net.JoinHostPort(a.ListenHost, "0"),
-		// The downstream is a streamout, which encodes synchronously and
-		// never retains records, so the collector can recycle them.
-		Pooled: true,
-	})
-	if err != nil {
-		return "", err
-	}
-	out := pipeline.NewStreamOutBatched(msg.Downstream, a.node.FlushPolicy)
-	if err := a.node.HostUnit(msg.Seg, RoleCollect, col, pipeline.NewSegment(msg.Seg), out); err != nil {
-		return "", err
-	}
-	return col.Addr(), nil
+	return fan.Addr(), nil
 }
 
 func (a *Agent) stopSegment(segName string) error {

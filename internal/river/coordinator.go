@@ -225,6 +225,9 @@ type member struct {
 	// dead (its channels are closed to fail in-flight RPCs).
 	pending map[uint64]chan *Message
 	gone    bool
+	// acked is closed once the register ack has been written: requests
+	// wait on it, so none reaches the agent before its ack.
+	acked chan struct{}
 }
 
 // counterMark is the last observed value of one unit's loss counters,
@@ -812,6 +815,7 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 		lastBeat: time.Now(),
 		marks:    make(map[string]counterMark),
 		pending:  make(map[uint64]chan *Message),
+		acked:    make(chan struct{}),
 	}
 	c.mu.Lock()
 	if _, dup := c.nodes[name]; dup {
@@ -839,7 +843,9 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 		HeartbeatMS: c.cfg.HeartbeatInterval.Milliseconds(),
 		CoordEpoch:  epoch, Adopted: adopted, StopUnits: stops,
 	}
-	if err := w.send(ack); err != nil {
+	err := w.send(ack)
+	close(m.acked)
+	if err != nil {
 		c.markDead(name, "register ack failed")
 		return
 	}
@@ -1755,6 +1761,7 @@ func (c *Coordinator) rpc(node string, msg *Message) (*Message, error) {
 		}
 		c.mu.Unlock()
 	}
+	<-m.acked
 	if err := m.w.send(msg); err != nil {
 		cleanup()
 		return nil, err

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/record"
-	"repro/internal/shard"
+	"repro/internal/replica"
 )
 
 // TestBatchWriterFramingZeroAlloc pins the framing layer: once the batch
@@ -90,16 +90,34 @@ func TestStreamOutConsumeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardPathZeroAlloc pins the sharded data plane end to end: a record
-// consumed by the partitioner (pooled copy + replica tag + route), batch-
-// framed over live TCP, decoded into the collector's pooled reader,
-// reordered through the seq ring and released by the sink — all without
-// per-record allocation once the pools and batch buffers have reached
-// their working size. Each measured run waits for the sink to drain so
-// the pool cycle is closed between runs and a queue burst cannot masquer-
-// ade as steady-state allocation.
+// TestShardPathZeroAlloc pins the fan-out data planes end to end: a
+// record consumed by a partitioner (one leg) or a splitter (three legs) —
+// pooled copies + replica tag + route — batch-framed over live TCP,
+// decoded into the fan-in's pooled reader, reordered or deduplicated
+// through the seq ring and released by the sink, all without per-record
+// allocation once the pools and batch buffers have reached their working
+// size. Each measured run waits for the sink to drain so the pool cycle
+// is closed between runs and a queue burst cannot masquerade as
+// steady-state allocation.
 func TestShardPathZeroAlloc(t *testing.T) {
-	col, err := shard.NewCollector(shard.CollectorConfig{
+	for _, tc := range []struct {
+		name   string
+		fanOut func(replica.FanOutConfig) *replica.FanOut
+		fanIn  func(replica.MergerConfig) (*replica.Merger, error)
+		legs   int
+	}{
+		{"partition-collect", replica.NewPartitioner, replica.NewCollector, 1},
+		{"split-merge-3", replica.NewSplitter, replica.NewMerger, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fanInZeroAlloc(t, tc.fanOut, tc.fanIn, tc.legs)
+		})
+	}
+}
+
+func fanInZeroAlloc(t *testing.T, fanOut func(replica.FanOutConfig) *replica.FanOut,
+	fanIn func(replica.MergerConfig) (*replica.Merger, error), legs int) {
+	col, err := fanIn(replica.MergerConfig{
 		Group: "za", ListenAddr: "127.0.0.1:0", Pooled: true,
 	})
 	if err != nil {
@@ -117,47 +135,45 @@ func TestShardPathZeroAlloc(t *testing.T) {
 	flush := record.DefaultBatchConfig()
 	flush.MaxDelay = 0                // no timer churn: flush purely by batch occupancy
 	flush.AdaptMax = flush.MaxRecords // fixed batch size: settle() counts on whole batches draining
-	p := shard.NewPartitioner(shard.PartitionerConfig{
-		Group: "za", Epoch: 1, Legs: []string{col.Addr()}, Flush: flush,
-	})
+	addrs := make([]string, legs)
+	for i := range addrs {
+		addrs[i] = col.Addr()
+	}
+	p := fanOut(replica.FanOutConfig{Group: "za", Epoch: 1, Legs: addrs, Flush: flush})
 	r := record.NewData(record.SubtypeAudio)
 	r.SetPCM16(make([]int16, 32))
 	var sent uint64
-	settle := func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for emitted.Load() < sent {
-			if time.Now().After(deadline) {
-				t.Fatalf("sink saw %d of %d records", emitted.Load(), sent)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	// Warm: grow the pools, the reorder ring and both batch buffers.
-	for i := 0; i < 1024; i++ {
-		r.SourceID = uint32(1 + i%13)
-		if err := p.Consume(r); err != nil {
-			t.Fatal(err)
-		}
-		sent++
-	}
-	settle()
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < 128; i++ { // two full batches per run
+	// run sends two full batches per leg, then waits until the fan-in has
+	// received every copy (emitted or discarded as a duplicate), so each
+	// run starts on empty leg queues and no replica leg ever drops.
+	run := func() {
+		for i := 0; i < 128; i++ {
 			r.SourceID = uint32(1 + i%13)
 			if err := p.Consume(r); err != nil {
 				t.Fatal(err)
 			}
 			sent++
 		}
-		settle()
-	})
+		deadline := time.Now().Add(10 * time.Second)
+		for emitted.Load() < sent || emitted.Load()+col.Dups()+p.LegDrops() < uint64(legs)*sent {
+			if time.Now().After(deadline) {
+				t.Fatalf("sink saw %d of %d records (%d dups)", emitted.Load(), sent, col.Dups())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	// Warm: grow the pools, the reorder ring and the batch buffers.
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(20, run)
 	_ = p.Close()
 	_ = col.Close()
 	<-runDone
 	// Pooled paths allocate under -race by design (see race_on_test.go):
 	// only the allocation assertion is skipped there.
 	if perRecord := allocs / 128; perRecord > 0.01 && !raceEnabled {
-		t.Fatalf("partition->collect path allocates %.3f/record (%.0f/run), want 0", perRecord, allocs)
+		t.Fatalf("fan-out -> fan-in path allocates %.3f/record (%.0f/run), want 0", perRecord, allocs)
 	}
 	if got := col.Skipped(); got != 0 {
 		t.Fatalf("collector skipped %d slots", got)
